@@ -159,8 +159,15 @@ class ProbeCertifier:
 
     def finalize(self) -> CertifiedResult:
         # Flush trailing proof steps (logged after the last UNSAT check)
-        # so the on-disk artifact holds the *complete* proof.
+        # so the on-disk artifact holds the *complete* proof.  Their
+        # RUP checks count as proof checking.
+        t0 = time.perf_counter()
+        checked0 = self.checker.stats["rup_checks"]
         self._feed()
+        self.result.check_seconds += time.perf_counter() - t0
+        self.result.proof_steps_checked += (
+            self.checker.stats["rup_checks"] - checked0
+        )
         self.result.proof_lines = len(self.proof.steps)
         if self.spool is not None:
             self.result.proof_repairs = self.spool.repairs

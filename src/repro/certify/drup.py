@@ -4,8 +4,8 @@ Verifies the DRUP-style proofs emitted by
 :class:`repro.sat.proof.ProofLog` **without importing any of the
 solver's propagation code**: this module depends on nothing but the
 standard library, works on the text form of the proof (signed DIMACS
-integers), and implements its own -- deliberately simple, occurrence-list
-based -- unit propagation over clauses and pseudo-Boolean constraints.
+integers), and implements its own unit propagation over clauses and
+pseudo-Boolean constraints.
 
 A proof is a sequence of lines:
 
@@ -20,11 +20,25 @@ A proof is a sequence of lines:
   literals in place),
 - ``c ...``                      comment.
 
+Propagation follows DRAT-trim (Wetzler, Heule & Hunt, SAT 2014):
+
+- every clause of two or more literals is watched on its first two
+  positions; the watches live in per-literal lists and move in place;
+- unit clauses and everything they imply form a persistent *level-0
+  trail*, propagated once, lazily, before the next check.  Each RUP or
+  assumption check assigns its literals on top of that trail,
+  propagates, and undoes back to it;
+- deleting a clause that is the reason of a level-0 literal (or any
+  deletion while level 0 is in conflict) rebuilds level 0 from the
+  surviving unit clauses and PB constraints, so every verdict stays a
+  verdict about the current database (:meth:`RupChecker.input_formula`).
+
 PB propagation mirrors the engine's counter-based rule: with ``slack =
 (max achievable LHS over non-false literals) - bound``, ``slack < 0`` is
 a conflict and an unassigned literal with ``coef > slack`` is forced
-true.  Because the checker re-propagates to fixpoint on every step, it is
-at least as strong as the solver's watch-driven propagation, so every
+true.  A PB constraint is re-evaluated whenever one of its literals
+becomes false.  Every check propagates to fixpoint, so the checker is at
+least as strong as the solver's watch-driven propagation and every
 honestly derived clause checks -- while soundness (an accepted addition
 really is implied) holds independently of anything the solver did.
 
@@ -49,21 +63,21 @@ class RupChecker:
     proof lines with :meth:`add_line`; each addition line is checked on
     arrival and a failure raises :class:`ProofError` -- a fully fed proof
     is therefore already verified step by step.
+
+    Per-literal tables (values, reasons, watches, PB occurrences) are
+    plain lists indexed by the signed literal itself: ``+v`` lands at
+    index ``v`` and ``-v`` at ``len - v`` through Python's negative
+    indexing, so a table of length ``2 * nvars + 1`` holds both
+    polarities of every variable with no index arithmetic in the
+    propagation loop.
     """
 
     def __init__(self) -> None:
-        #: Clause database; deleted slots become None.
+        #: Clause database; deleted slots become None.  Clauses of two
+        #: or more literals are permuted in place as their watches move.
         self.clauses: list[list[int] | None] = []
-        self._by_key: dict[tuple[int, ...], list[int]] = {}
-        #: Occurrence lists: asserted literal -> clause indices that
-        #: contain its negation (i.e. clauses losing a literal).
-        self._occ: dict[int, list[int]] = {}
         #: PB database: (lits, coefs, bound) with ``sum >= bound``.
         self.pbs: list[tuple[list[int], list[int], int]] = []
-        self._pb_occ: dict[int, list[int]] = {}
-        #: Literals of unit clauses plus statically forced PB literals --
-        #: the propagation seed of every check.
-        self._units: list[int] = []
         #: True once the database contains the empty clause.
         self.contradiction = False
         self.stats = {
@@ -75,6 +89,34 @@ class RupChecker:
             "assumption_checks": 0,
             "propagations": 0,
         }
+        self._nvars = 0
+        #: literal -> 1 true, -1 false, 0 unassigned.
+        self._val: list[int] = [0]
+        #: true literal -> the clause that implied it (None: assumed,
+        #: or forced by a PB constraint, which is never deleted).
+        self._reason: list[list[int] | None] = [None]
+        #: literal -> clauses watching it (visited when it turns false).
+        self._watch: list[list[list[int]]] = [[]]
+        #: literal -> PB indices containing its negation (visited when
+        #: it turns true, i.e. when a PB literal turns false).
+        self._pb_occ: list[list[int]] = [[]]
+        #: Live and deleted unit clauses (deleted ones are emptied).
+        self._units: list[list[int]] = []
+        #: sorted literal tuple -> clause indices; built on the first
+        #: deletion, maintained from then on.
+        self._by_key: dict[tuple[int, ...], list[int]] | None = None
+        #: The level-0 trail: literals true under the database alone.
+        self._trail: list[int] = []
+        #: Level-0 work not yet propagated: clauses whose first literal
+        #: is the last non-false one (unit clauses, and clauses that
+        #: arrived unit or falsified under level 0), and PB indices to
+        #: evaluate.
+        self._todo: list[list[int]] = []
+        self._pb_todo: list[int] = []
+        #: Level 0 propagated to a conflict: every check succeeds.
+        self._conflict = False
+        #: A deletion invalidated level 0; rebuild before the next check.
+        self._stale = False
 
     # ------------------------------------------------------------------
     # Parsing
@@ -83,13 +125,13 @@ class RupChecker:
     @staticmethod
     def _parse_lits(tokens: list[str], line: str) -> list[int]:
         try:
-            nums = [int(t) for t in tokens]
+            nums = list(map(int, tokens))
         except ValueError:
             raise ProofError(f"non-integer literal in {line!r}") from None
         if not nums or nums[-1] != 0:
             raise ProofError(f"missing terminating 0 in {line!r}")
         nums.pop()
-        if any(n == 0 for n in nums):
+        if 0 in nums:
             raise ProofError(f"embedded 0 in {line!r}")
         return nums
 
@@ -104,10 +146,15 @@ class RupChecker:
             self.stats["inputs"] += 1
             self._store_clause(lits)
         elif head == "b":
-            body = self._parse_lits(tokens[1:], line)
-            if not body:
+            if len(tokens) < 2:
                 raise ProofError(f"empty PB constraint in {line!r}")
-            bound, rest = body[0], body[1:]
+            # The bound is positional, so it may be 0 (a trivially true
+            # constraint the solver still logs).
+            try:
+                bound = int(tokens[1])
+            except ValueError:
+                raise ProofError(f"non-integer bound in {line!r}") from None
+            rest = self._parse_lits(tokens[2:], line)
             if len(rest) % 2:
                 raise ProofError(f"odd coef/literal list in {line!r}")
             coefs = rest[0::2]
@@ -124,7 +171,7 @@ class RupChecker:
             lits = self._parse_lits(tokens, line)
             self.stats["additions"] += 1
             self.stats["rup_checks"] += 1
-            if not self._propagate([-l for l in lits]):
+            if not self._refutes([-l for l in lits]):
                 raise ProofError(
                     f"addition {lits} is not a reverse-unit-propagation "
                     "consequence of the database"
@@ -135,125 +182,258 @@ class RupChecker:
     # Database maintenance
     # ------------------------------------------------------------------
 
+    def _fit(self, lits: list[int]) -> None:
+        """Grow the per-literal tables to cover every literal of
+        ``lits``.  New slots go between the positive and the negative
+        half, so existing entries keep their (signed) indices."""
+        if not lits:
+            return
+        need = max(max(lits), -min(lits))
+        n = self._nvars
+        if need <= n:
+            return
+        grow = max(need, 2 * n) - n
+        at = n + 1
+        self._val[at:at] = [0] * (2 * grow)
+        self._reason[at:at] = [None] * (2 * grow)
+        self._watch[at:at] = [[] for _ in range(2 * grow)]
+        self._pb_occ[at:at] = [[] for _ in range(2 * grow)]
+        self._nvars = n + grow
+
     def _store_clause(self, lits: list[int]) -> None:
         lits = list(dict.fromkeys(lits))  # drop duplicate literals
         if not lits:
             self.contradiction = True
             return
-        idx = len(self.clauses)
+        n = self._nvars
+        if max(lits) > n or -min(lits) > n:
+            self._fit(lits)
+        if self._by_key is not None:
+            self._by_key.setdefault(tuple(sorted(lits)), []).append(
+                len(self.clauses)
+            )
         self.clauses.append(lits)
-        self._by_key.setdefault(tuple(sorted(lits)), []).append(idx)
         if len(lits) == 1:
-            self._units.append(lits[0])
-        for lit in lits:
-            self._occ.setdefault(-lit, []).append(idx)
+            self._units.append(lits)
+            self._todo.append(lits)
+            return
+        val = self._val
+        if val[lits[0]] == -1 or val[lits[1]] == -1:
+            # Watch non-false literals where there are any: true first,
+            # then unassigned, then false.  With at most one non-false
+            # literal the clause is unit (or falsified) under level 0.
+            lits.sort(key=val.__getitem__, reverse=True)
+            if val[lits[1]] == -1:
+                self._todo.append(lits)
+        self._watch[lits[0]].append(lits)
+        self._watch[lits[1]].append(lits)
 
     def _store_pb(self, lits: list[int], coefs: list[int], bound: int) -> None:
         idx = len(self.pbs)
         self.pbs.append((list(lits), list(coefs), bound))
+        self._fit(lits)
+        pb_occ = self._pb_occ
         for lit in lits:
-            self._pb_occ.setdefault(-lit, []).append(idx)
-        # Static consequences under the empty assignment.
-        slack = sum(coefs) - bound
-        if slack < 0:
+            pb_occ[-lit].append(idx)
+        if sum(coefs) < bound:
             self.contradiction = True
             return
-        for lit, coef in zip(lits, coefs):
-            if coef > slack:
-                self._units.append(lit)
+        self._pb_todo.append(idx)
 
     def _delete_clause(self, lits: list[int], line: str) -> None:
-        key = tuple(sorted(dict.fromkeys(lits)))
-        idxs = self._by_key.get(key)
+        by_key = self._by_key
+        if by_key is None:
+            by_key = self._by_key = {}
+            for i, c in enumerate(self.clauses):
+                if c is not None:
+                    by_key.setdefault(tuple(sorted(c)), []).append(i)
+        idxs = by_key.get(tuple(sorted(set(lits))))
         if not idxs:
             raise ProofError(f"deletion of clause not in database: {line!r}")
         idx = idxs.pop()
         clause = self.clauses[idx]
         self.clauses[idx] = None
-        if clause is not None and len(clause) == 1:
-            self._units.remove(clause[0])
+        if self._conflict:
+            self._stale = True
+        else:
+            val = self._val
+            reason = self._reason
+            for q in clause:
+                if val[q] == 1 and reason[q] is clause:
+                    self._stale = True
+                    break
+        # An emptied clause is dropped from watch lists and level-0
+        # work as propagation meets it.
+        clause.clear()
 
     # ------------------------------------------------------------------
     # Unit propagation (clauses + PB)
     # ------------------------------------------------------------------
 
-    def _propagate(self, seed: list[int]) -> bool:
-        """Assert ``seed`` literals, propagate to fixpoint; True iff a
-        conflict is derived (the database refutes the seed)."""
+    def _rebuild(self) -> None:
+        """Forget level 0 and queue its sources again: the surviving
+        unit clauses and every PB constraint.  Watches stay where they
+        are -- any two literals are valid watches under the empty
+        assignment."""
+        val = self._val
+        for q in self._trail:
+            val[q] = 0
+            val[-q] = 0
+        self._trail.clear()
+        self._units = [c for c in self._units if c]
+        self._todo = list(self._units)
+        self._pb_todo = list(range(len(self.pbs)))
+        self._conflict = False
+        self._stale = False
+
+    def _settle(self) -> bool:
+        """Bring the level-0 trail up to date; True when level 0 is in
+        conflict."""
+        if self._stale:
+            self._rebuild()
+        if self._conflict:
+            return True
+        if not (self._todo or self._pb_todo):
+            return False
+        val = self._val
+        reason = self._reason
+        trail = self._trail
+        head = len(trail)
+        conflict = False
+        for c in self._todo:
+            if not c:
+                continue  # deleted since it was queued
+            q = c[0]
+            v = val[q]
+            if v == 0:
+                val[q] = 1
+                val[-q] = -1
+                reason[q] = c
+                trail.append(q)
+            elif v == -1:
+                conflict = True
+                break
+        self._todo = []
+        if not conflict:
+            for idx in self._pb_todo:
+                if self._pb_fire(idx):
+                    conflict = True
+                    break
+        self._pb_todo = []
+        if not conflict:
+            conflict = self._propagate(head)
+        self._conflict = conflict
+        return conflict
+
+    def _pb_fire(self, idx: int) -> bool:
+        """Apply the PB counter rule to constraint ``idx`` under the
+        current assignment; True on conflict."""
+        plits, coefs, bound = self.pbs[idx]
+        val = self._val
+        slack = -bound
+        for q, c in zip(plits, coefs):
+            if val[q] != -1:
+                slack += c
+        if slack < 0:
+            return True
+        reason = self._reason
+        trail = self._trail
+        for q, c in zip(plits, coefs):
+            if c > slack and val[q] == 0:
+                val[q] = 1
+                val[-q] = -1
+                reason[q] = None
+                trail.append(q)
+        return False
+
+    def _propagate(self, head: int) -> bool:
+        """Propagate the trail from position ``head`` to fixpoint; True
+        iff a conflict is derived."""
+        val = self._val
+        reason = self._reason
+        watch = self._watch
+        pb_occ = self._pb_occ
+        trail = self._trail
+        start = head
+        conflict = False
+        while head < len(trail):
+            p = trail[head]
+            head += 1
+            f = -p  # the literal that just turned false
+            ws = watch[f]
+            i = j = 0
+            n = len(ws)
+            while i < n:
+                c = ws[i]
+                i += 1
+                if not c:
+                    continue  # deleted: drop the watch
+                if c[0] == f:
+                    c[0] = c[1]
+                    c[1] = f
+                first = c[0]
+                if val[first] == 1:
+                    ws[j] = c
+                    j += 1
+                    continue
+                for k in range(2, len(c)):
+                    q = c[k]
+                    if val[q] != -1:
+                        c[1] = q
+                        c[k] = f
+                        watch[q].append(c)
+                        break
+                else:
+                    ws[j] = c
+                    j += 1
+                    if val[first] == -1:
+                        conflict = True
+                        break
+                    val[first] = 1
+                    val[-first] = -1
+                    reason[first] = c
+                    trail.append(first)
+            del ws[j:i]
+            if conflict:
+                break
+            for idx in pb_occ[p]:
+                if self._pb_fire(idx):
+                    conflict = True
+                    break
+            if conflict:
+                break
+        self.stats["propagations"] += head - start
+        return conflict
+
+    def _refutes(self, lits: list[int]) -> bool:
+        """Assert ``lits`` on top of the level-0 trail and propagate;
+        True iff a conflict is derived (the database refutes them).
+        Leaves the level-0 trail as it found it."""
         if self.contradiction:
             return True
-        val: dict[int, bool] = {}
-        queue: list[int] = []
-
-        def assign(lit: int) -> bool:
-            """Record ``lit`` true; True when it contradicts a prior
-            assignment (i.e. an immediate conflict)."""
-            var = abs(lit)
-            want = lit > 0
-            prev = val.get(var)
-            if prev is None:
-                val[var] = want
-                queue.append(lit)
-                return False
-            return prev is not want
-
-        for lit in self._units:
-            if assign(lit):
-                return True
-        for lit in seed:
-            if assign(lit):
-                return True
-        clauses = self.clauses
-        pbs = self.pbs
-        occ = self._occ
-        pb_occ = self._pb_occ
-        head = 0
-        while head < len(queue):
-            lit = queue[head]
-            head += 1
-            for idx in occ.get(lit, ()):
-                clause = clauses[idx]
-                if clause is None:
-                    continue
-                unassigned = None
-                free = 0
-                satisfied = False
-                for q in clause:
-                    have = val.get(abs(q))
-                    if have is None:
-                        free += 1
-                        if free > 1:
-                            break
-                        unassigned = q
-                    elif have is (q > 0):
-                        satisfied = True
-                        break
-                if satisfied or free > 1:
-                    continue
-                if free == 0:
-                    self.stats["propagations"] += head
-                    return True
-                assert unassigned is not None
-                if assign(unassigned):
-                    self.stats["propagations"] += head
-                    return True
-            for idx in pb_occ.get(lit, ()):
-                plits, coefs, bound = pbs[idx]
-                slack = -bound
-                for q, c in zip(plits, coefs):
-                    have = val.get(abs(q))
-                    if have is None or have is (q > 0):
-                        slack += c
-                if slack < 0:
-                    self.stats["propagations"] += head
-                    return True
-                for q, c in zip(plits, coefs):
-                    if c > slack and val.get(abs(q)) is None:
-                        if assign(q):
-                            self.stats["propagations"] += head
-                            return True
-        self.stats["propagations"] += head
-        return False
+        self._fit(lits)
+        if self._settle():
+            return True
+        val = self._val
+        trail = self._trail
+        mark = len(trail)
+        conflict = False
+        for q in lits:
+            v = val[q]
+            if v == 0:
+                val[q] = 1
+                val[-q] = -1
+                trail.append(q)
+            elif v == -1:
+                conflict = True
+                break
+        if not conflict:
+            conflict = self._propagate(mark)
+        for q in trail[mark:]:
+            val[q] = 0
+            val[-q] = 0
+        del trail[mark:]
+        return conflict
 
     # ------------------------------------------------------------------
     # Verdicts
@@ -266,7 +446,7 @@ class RupChecker:
         (or the empty clause) is in the database, so propagation refutes
         the probe's assumptions."""
         self.stats["assumption_checks"] += 1
-        return self._propagate(list(assumptions))
+        return self._refutes(list(assumptions))
 
     def input_formula(self) -> tuple[list[list[int]], list[tuple]]:
         """The *current* database split as (clauses, pb constraints) --

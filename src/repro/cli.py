@@ -649,8 +649,13 @@ def _cmd_solve(args) -> int:
         f" ({_STATUS_NOTE.get(res.status, res.status)})"
     )
     print(f"feasible; cost = {fmt_cost(res.cost, res.proven)}{note}")
+    cert = res.certificate
+    certify = (
+        f"certify = {cert.check_seconds + cert.audit_seconds:.1f}s, "
+        if cert is not None else ""
+    )
     print(f"probes = {res.outcome.num_probes}, "
-          f"solve = {res.solve_seconds:.1f}s, "
+          f"solve = {res.solve_seconds:.1f}s, {certify}"
           f"vars = {res.formula_size['bool_vars']}, "
           f"literals = {res.formula_size['literals']}")
     print(f"independently verified: {res.verified}")

@@ -366,6 +366,16 @@ class Allocator:
             certificate = CertifiedResult()
 
         t0 = time.perf_counter()
+
+        def elapsed() -> float:
+            # Encoding and certification book their own time
+            # (``enc_secs``, the certificate's check/audit seconds).
+            certified = (
+                certificate.check_seconds + certificate.audit_seconds
+                if certificate is not None else 0.0
+            )
+            return time.perf_counter() - t0 - enc_secs - certified
+
         enc, cost_var, lo, hi, enc_secs = self._encode(objective)
         outcome = OptimizationOutcome(feasible=False, optimum=None,
                                       proven=False)
@@ -453,7 +463,7 @@ class Allocator:
         try:
             sat, cost = probe(None, None)
         except BudgetExpired:
-            outcome.seconds = time.perf_counter() - t0
+            outcome.seconds = elapsed()
             return self._finish(
                 last_enc, outcome, best, enc_secs, verify, certificate
             )
@@ -485,7 +495,7 @@ class Allocator:
             outcome.proven = left >= right
         else:
             outcome.proven = True  # certified infeasibility
-        outcome.seconds = time.perf_counter() - t0
+        outcome.seconds = elapsed()
         return self._finish(
             last_enc, outcome, best, enc_secs, verify, certificate
         )

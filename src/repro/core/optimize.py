@@ -106,6 +106,8 @@ class OptimizationOutcome:
     feasible: bool
     optimum: int | None
     probes: list[ProbeLog] = field(default_factory=list)
+    #: Wall seconds of the search, less the time spent in the
+    #: ``on_probe`` hook (certification books its own time).
     seconds: float = 0.0
     #: True when the search closed its interval: a feasible outcome is a
     #: *certified* optimum (and an infeasible one certified UNSAT).  An
@@ -237,7 +239,8 @@ def bin_search(
     ``on_probe`` is invoked after *every* probe (including interrupted
     ones) with the fresh :class:`ProbeLog` and the probe's guard
     literal; :class:`repro.certify.ProbeCertifier` uses it to check each
-    answer's certificate while the probe's state is still loaded.
+    answer's certificate while the probe's state is still loaded.  Time
+    spent in ``on_probe`` is not counted in the outcome's ``seconds``.
 
     ``time_limit`` (seconds) turns the search into an anytime algorithm:
     on expiry the best known upper bound is returned with ``feasible``
@@ -269,6 +272,17 @@ def bin_search(
     """
     t0 = time.perf_counter()
     out = OptimizationOutcome(feasible=False, optimum=None, proven=False)
+    hook_seconds = [0.0]  # time spent in on_probe, left out of out.seconds
+
+    def elapsed() -> float:
+        return time.perf_counter() - t0 - hook_seconds[0]
+
+    def report_probe(guard) -> None:
+        if on_probe is not None:
+            h0 = time.perf_counter()
+            on_probe(out.probes[-1], guard)
+            hook_seconds[0] += time.perf_counter() - h0
+
     if budget is not None:
         budget.start()
     if checkpoint is None and on_checkpoint is not None:
@@ -356,8 +370,7 @@ def bin_search(
             )
             out.interrupted = True
             out.interrupt_reason = str(exc)
-            if on_probe is not None:
-                on_probe(out.probes[-1], guard)
+            report_probe(guard)
             raise
         seconds = time.perf_counter() - p0
         cost = solver.value(cost_var) if sat else None
@@ -377,8 +390,7 @@ def bin_search(
         )
         if sat and on_sat is not None:
             on_sat()
-        if on_probe is not None:
-            on_probe(out.probes[-1], guard)
+        report_probe(guard)
         return sat, cost
 
     left: int | None = None
@@ -408,7 +420,7 @@ def bin_search(
         note_bounds(ignored="resumed from checkpoint")
         if checkpoint.feasible is False:
             out.proven = True
-            out.seconds = time.perf_counter() - t0
+            out.seconds = elapsed()
             return out
         out.feasible = True
         left, right = checkpoint.left, checkpoint.right
@@ -451,7 +463,7 @@ def bin_search(
             try:
                 sat, cost = run_probe(floor, hint, origin="bounds:upper_hint")
             except BudgetExpired:
-                out.seconds = time.perf_counter() - t0
+                out.seconds = elapsed()
                 sync_checkpoint()
                 note_bounds()
                 return out  # status: unknown
@@ -479,13 +491,13 @@ def bin_search(
                     origin="initial" if floor <= lower else "bounds:floor",
                 )
             except BudgetExpired:
-                out.seconds = time.perf_counter() - t0
+                out.seconds = elapsed()
                 sync_checkpoint()
                 note_bounds()
                 return out  # status: unknown
             if not sat:
                 out.proven = True  # certified infeasibility
-                out.seconds = time.perf_counter() - t0
+                out.seconds = elapsed()
                 left, right = floor, None
                 sync_checkpoint()
                 note_bounds(interval_start=[left, right])
@@ -544,7 +556,7 @@ def bin_search(
             sat, _ = run_probe(right, right, origin="recertify")
         except BudgetExpired:
             out.proven = False
-            out.seconds = time.perf_counter() - t0
+            out.seconds = elapsed()
             sync_checkpoint()
             return out
         if not sat:
@@ -554,5 +566,5 @@ def bin_search(
                 "bounds witness) is not satisfiable"
             )
         sync_checkpoint()
-    out.seconds = time.perf_counter() - t0
+    out.seconds = elapsed()
     return out

@@ -1373,13 +1373,23 @@ class Solver:
 
     def check_model(self) -> bool:
         """Verify the last model against every original constraint
-        (used by the test suite; independent of the propagation code)."""
+        (plain evaluation, independent of the propagation code).
+
+        The model becomes a truth table indexed by literal once per
+        call; clause and PB slices are then evaluated against it.
+        Variables the model does not cover read as False, exactly as
+        in :meth:`model_value`."""
+        model = self._model
+        m = len(model)
+        truth = [False, True] * max(self.nvars, m)
+        truth[0:2 * m:2] = model
+        truth[1:2 * m:2] = [not v for v in model]
+        is_true = truth.__getitem__
         arena = self.arena
-        model_value = self.model_value
+        cla_off = self.cla_off
         for cid in self._problem_cids:
-            off = self.cla_off[cid]
-            end = off + 1 + arena[off]
-            if not any(model_value(arena[k]) for k in range(off + 1, end)):
+            off = cla_off[cid] + 1
+            if not any(map(is_true, arena[off:off + arena[off - 1]])):
                 return False
         pb_lits = self.pb_lits
         pb_coefs = self.pb_coefs
@@ -1387,8 +1397,8 @@ class Solver:
             off = self.pb_off[i]
             end = off + self.pb_len[i]
             total = sum(
-                pb_coefs[t] for t in range(off, end)
-                if model_value(pb_lits[t])
+                c for lit, c in zip(pb_lits[off:end], pb_coefs[off:end])
+                if truth[lit]
             )
             if total < self.pb_bound[i]:
                 return False

@@ -6,6 +6,8 @@ auditing, and end-to-end certified optimization on scaled table-1 /
 table-4 workloads for both the incremental and the rebuild strategy.
 """
 
+import time
+
 import pytest
 
 from repro.certify import (
@@ -127,6 +129,14 @@ class TestRupCheckerPB:
         assert c.check_assumptions([1])
         assert not RupChecker().check_assumptions([1])
 
+    def test_pb_bound_zero_is_trivially_true(self):
+        # The solver logs trivially true PB constraints as given; the
+        # 0 bound must not read as the line's terminator.
+        c = RupChecker()
+        c.add_line("b 0 1 1 1 2 0")
+        assert c.stats["pb_inputs"] == 1
+        assert not c.check_assumptions([-1, -2])
+
     def test_hand_written_pb_proof(self):
         checker = check_proof_lines(PB_PROOF)
         assert checker.stats["rup_checks"] == 3
@@ -134,6 +144,84 @@ class TestRupCheckerPB:
     def test_check_proof_lines_requires_refutation(self):
         with pytest.raises(ProofError):
             check_proof_lines(["i 1 2 0"])
+
+
+class TestRupCheckerLevelZero:
+    """The persistent level-0 trail: units and their consequences are
+    propagated once and must follow deletions and late arrivals."""
+
+    def test_deleting_a_conflicting_unit_lifts_the_refutation(self):
+        c = RupChecker()
+        for line in ("i 1 0", "i -1 0", "d -1 0"):
+            c.add_line(line)
+        assert not c.check_assumptions([])
+
+    def test_deletion_after_a_level_zero_conflict_rebuilds(self):
+        c = RupChecker()
+        c.add_line("i 1 0")
+        c.add_line("i -1 0")
+        assert c.check_assumptions([])  # level 0 now in conflict
+        c.add_line("d -1 0")
+        assert not c.check_assumptions([])
+        assert c.check_assumptions([-1])
+
+    def test_deleting_a_reason_unit_retracts_its_implications(self):
+        c = RupChecker()
+        c.add_line("i 1 0")
+        c.add_line("i -1 2 0")
+        assert c.check_assumptions([-2])  # 2 is implied at level 0
+        c.add_line("d 1 0")
+        assert not c.check_assumptions([-2])
+
+    def test_deleting_a_reason_clause_retracts_its_implications(self):
+        c = RupChecker()
+        c.add_line("i 1 0")
+        c.add_line("i -1 2 0")
+        c.add_line("i -2 3 0")
+        assert c.check_assumptions([-3])
+        c.add_line("d 2 -1 0")
+        assert not c.check_assumptions([-3])
+        assert not c.check_assumptions([-2])
+        assert c.check_assumptions([-1])
+
+    def test_deleting_a_non_reason_keeps_level_zero(self):
+        c = RupChecker()
+        c.add_line("i 1 0")
+        c.add_line("i -1 2 0")
+        c.add_line("i -1 2 3 0")
+        assert c.check_assumptions([-2])
+        c.add_line("d -1 2 3 0")
+        assert c.check_assumptions([-2])
+
+    def test_unit_arriving_after_watches_are_attached(self):
+        c = RupChecker()
+        c.add_line("i 1 2 3 0")
+        assert not c.check_assumptions([-3])  # watches now in use
+        c.add_line("i -1 0")
+        assert not c.check_assumptions([-3])
+        c.add_line("i -2 0")
+        assert c.check_assumptions([-3])
+        assert not c.check_assumptions([3])
+        c.add_line("3 0")  # RUP: -3 conflicts with the level-0 trail
+
+    def test_clause_arriving_unit_under_level_zero(self):
+        c = RupChecker()
+        c.add_line("i -1 0")
+        c.add_line("i -2 0")
+        assert not c.check_assumptions([])  # level 0 settled: -1, -2
+        c.add_line("i 1 2 3 0")  # unit under level 0: forces 3
+        assert c.check_assumptions([-3])
+        c.add_line("i 1 2 -3 0")  # falsified under level 0
+        assert c.check_assumptions([])
+
+    def test_pb_forced_literal_whose_supporting_unit_is_deleted(self):
+        c = RupChecker()
+        c.add_line("b 2 1 1 1 2 1 3 0")  # x1 + x2 + x3 >= 2
+        c.add_line("i -2 0")
+        assert c.check_assumptions([-1])  # the PB forces x1 and x3
+        c.add_line("d -2 0")
+        assert not c.check_assumptions([-1])
+        assert c.check_assumptions([-1, -2])
 
 
 class TestSolverProofRoundTrip:
@@ -272,6 +360,52 @@ class TestCertifiedOptimization:
         assert cert is not None
         assert cert.all_verified, cert.summary()
         assert cert.unsat_probes > 0
+
+    @pytest.mark.parametrize("reuse", [True, False],
+                             ids=["incremental", "rebuild"])
+    def test_certify_time_not_booked_as_solve_time(self, reuse):
+        tasks = tindell_partition(7)
+        arch = tindell_architecture()
+        t0 = time.perf_counter()
+        res = Allocator(tasks, arch).minimize(
+            MinimizeTRT("ring"),
+            request=SolveRequest(reuse_learned=reuse, certify=True),
+        )
+        wall = time.perf_counter() - t0
+        cert = res.certificate
+        assert cert.check_seconds > 0
+        assert cert.audit_seconds > 0
+        assert (
+            res.encode_seconds + res.solve_seconds
+            + cert.check_seconds + cert.audit_seconds
+            <= wall
+        )
+
+    def test_finalize_books_trailing_lemma_checks(self):
+        from repro.certify import ProbeCertifier
+        from repro.core.optimize import bin_search
+
+        tasks = tindell_partition(7)
+        arch = tindell_architecture()
+        enc, cost_var, lo, hi, _ = Allocator(tasks, arch)._encode(
+            MinimizeTRT("ring")
+        )
+        certifier = ProbeCertifier(tasks, arch, enc, MinimizeTRT("ring"))
+        bin_search(enc.solver, cost_var, lo, hi,
+                   on_probe=certifier.on_probe)
+        trailing = sum(
+            1 for step in certifier.proof.steps[certifier._fed:]
+            if step[0] == "a"
+        )
+        assert trailing > 0  # lemmas learnt after the last UNSAT probe
+        before = certifier.result.check_seconds
+        result = certifier.finalize()
+        assert result.all_verified
+        assert (
+            result.proof_steps_checked
+            == certifier.checker.stats["rup_checks"]
+        )
+        assert result.check_seconds > before
 
     def test_sat_audit_recomputes_cost(self):
         tasks = tindell_partition(7)
