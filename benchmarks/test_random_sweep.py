@@ -4,10 +4,10 @@ Not a paper table -- supporting evidence for the paper's scaling story:
 optimal allocation gets hard near the schedulability boundary (lightly
 loaded systems are easy-SAT, overloaded ones are easy-UNSAT, the
 in-between is where CDCL works).  Cells are independent, so the sweep
-runs through :func:`repro.parallel.run_sweep`.
+runs through the experiment fabric (:func:`repro.fabric.fabric_sweep`).
 """
 
-from repro.parallel import run_sweep
+from repro.fabric import fabric_sweep
 from repro.reporting import ExperimentRow, format_table
 
 # Worker must be importable/picklable: module-level function.
@@ -47,12 +47,12 @@ def test_fabric_sweep_restores_cells(tmp_path, record_json):
     cells = [(u, s) for u in (0.6, 1.6) for s in (0, 1)]
     fabric_dir = str(tmp_path / "fabric")
 
-    first = run_sweep(_solve_cell, cells, processes=2,
-                      fabric_dir=fabric_dir)
+    first = fabric_sweep(_solve_cell, cells, fabric_dir=fabric_dir,
+                         workers=2).results
     assert all(r.ok for r in first), [r.error for r in first if not r.ok]
 
-    again = run_sweep(_solve_cell, cells, processes=2,
-                      fabric_dir=fabric_dir)
+    again = fabric_sweep(_solve_cell, cells, fabric_dir=fabric_dir,
+                         workers=2).results
     assert [r.param for r in again] == [r.param for r in first]
     assert [r.value for r in again] == [r.value for r in first]
     record_json("fabric_sweep", {
@@ -61,14 +61,17 @@ def test_fabric_sweep_restores_cells(tmp_path, record_json):
     })
 
 
-def test_utilization_sweep(benchmark, profile, record_table, record_json):
+def test_utilization_sweep(benchmark, profile, record_table, record_json,
+                           tmp_path):
     utils = (0.6, 1.2, 1.8) if profile.name == "ci" else (
         0.8, 1.2, 1.6, 2.0, 2.4, 2.8)
     seeds = (0, 1) if profile.name == "ci" else (0, 1, 2, 3)
     cells = [(u, s) for u in utils for s in seeds]
 
     results = benchmark.pedantic(
-        lambda: run_sweep(_solve_cell, cells, processes=2),
+        lambda: fabric_sweep(_solve_cell, cells,
+                             fabric_dir=str(tmp_path / "fabric"),
+                             workers=2).results,
         rounds=1,
         iterations=1,
     )

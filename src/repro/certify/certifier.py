@@ -163,7 +163,15 @@ class ProbeCertifier:
         # RUP checks count as proof checking.
         t0 = time.perf_counter()
         checked0 = self.checker.stats["rup_checks"]
-        self._feed()
+        try:
+            self._feed()
+        except ProofError as exc:
+            # A trailing lemma that fails its check condemns the whole
+            # certificate; it must not take the solve down.
+            self.result.add(ProbeCertificate(
+                index=len(self.result.probes), kind="unsat", ok=False,
+                detail=f"trailing proof step failed check: {exc}",
+            ))
         self.result.check_seconds += time.perf_counter() - t0
         self.result.proof_steps_checked += (
             self.checker.stats["rup_checks"] - checked0

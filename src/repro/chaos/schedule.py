@@ -1,22 +1,21 @@
 """Deterministic chaos engineering for the solve stack.
 
-This module generalizes :mod:`repro.robust.faults` (sweep-cell
-injection) into a stack-wide registry of **named fault sites**.  Code on
-a hardened path declares a site by calling :func:`chaos_point` (control
-faults) or :func:`chaos_data` (data faults) at the exact moment the real
-world could misbehave; a seeded :class:`ChaosSchedule` decides *if* and
-*how* that site misbehaves on its n-th execution.
+This module is the stack's one fault injector: a registry of **named
+fault sites**.  Code on a hardened path declares a site by calling
+:func:`chaos_point` (control faults) or :func:`chaos_data` (data
+faults) at the exact moment the real world could misbehave; a seeded
+:class:`ChaosSchedule` decides *if* and *how* that site misbehaves on
+its n-th execution.
 
 Design constraints, in order:
 
 1. **Deterministic.**  A schedule is a finite list of
    :class:`ChaosFault` entries built from a seed or a named profile.
-   Site executions are counted in ``state_dir`` through the same
-   atomic single-byte-append counter files as :class:`repro.robust.
-   faults.FaultPlan`, so counting is correct across worker processes
-   *and* across a kill/resume sequence of the same run (a resumed
-   process continues the counts, so an already-fired one-shot fault
-   does not re-fire).
+   Site executions are counted in ``state_dir`` through atomic
+   single-byte-append counter files, so counting is correct across
+   worker processes *and* across a kill/resume sequence of the same
+   run (a resumed process continues the counts, so an already-fired
+   one-shot fault does not re-fire).
 2. **Free when off.**  ``chaos_point`` returns after one module-global
    truthiness check when no schedule is installed; sites on hot paths
    (the solver slice loop, IPC exchange) cost a function call and a
@@ -106,8 +105,8 @@ __all__ = [
     "EVENT_LOG_NAME",
 ]
 
-#: Exit code of a chaos-injected process crash (distinct from the sweep
-#: fault injector's 87 so logs attribute deaths to the right harness).
+#: Exit code of a chaos-injected process crash (distinctive, so logs
+#: attribute a worker death to the harness rather than a real fault).
 CHAOS_EXIT_CODE = 86
 
 EVENT_LOG_NAME = "chaos-events.jsonl"
@@ -363,7 +362,7 @@ class ChaosSchedule:
         return cls(state_dir, faults, hang_seconds=hang_seconds,
                    label=f"profile:{name}")
 
-    # -- cross-process counting (FaultPlan's atomic-append pattern) -----
+    # -- cross-process counting (atomic single-byte appends) ------------
 
     def _counter_path(self, site: str) -> str:
         return os.path.join(

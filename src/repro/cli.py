@@ -17,10 +17,11 @@ Commands
 - ``export <system.json> --format opb|dimacs`` -- dump the bit-blasted
   constraint system for external solvers,
 - ``sweep --utils 0.6,1.2 --seeds 0-3 --fabric-dir DIR --workers 4`` --
-  run a random-workload sweep; with ``--fabric-dir`` the cells become
-  content-addressed jobs in the crash-surviving experiment fabric
-  (dedupe across runs/machines, lease-based work stealing; see
-  ``docs/FABRIC.md``).
+  run a random-workload sweep through the crash-surviving experiment
+  fabric: the cells become content-addressed jobs (dedupe across
+  runs/machines, lease-based work stealing; see ``docs/FABRIC.md``).
+  Without ``--fabric-dir`` the fabric lives in a temporary directory
+  removed on exit.
 
 Objectives: ``trt:<medium>``, ``sum_trt``, ``can:<medium>``,
 ``sum_resp``, ``max_util``.
@@ -227,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser(
         "sweep",
-        help="random-workload sweep, optionally through the "
-        "crash-surviving experiment fabric",
+        help="random-workload sweep through the crash-surviving "
+        "experiment fabric",
     )
     p_sw.add_argument(
         "--utils", default="0.6,1.2,1.8", metavar="U1,U2,...",
@@ -253,37 +254,34 @@ def build_parser() -> argparse.ArgumentParser:
                       help="per-cell solve time limit (seconds)")
     p_sw.add_argument(
         "--fabric-dir", default=None, metavar="DIR",
-        help="run through the experiment fabric rooted here: "
+        help="keep the experiment fabric rooted here: "
         "content-addressed jobs, append-only dedupe store, lease-based "
-        "work stealing (docs/FABRIC.md); omit for a plain process pool",
+        "work stealing (docs/FABRIC.md); a re-run restores finished "
+        "cells.  Omit to use a temporary directory removed on exit",
     )
     p_sw.add_argument("--workers", type=int, default=2, metavar="N",
-                      help="worker processes (0 = inline, fabric only)")
+                      help="worker processes (0 = inline)")
     p_sw.add_argument(
         "--steal", action=argparse.BooleanOptionalAction, default=True,
         help="let idle workers claim any pending job, not just their "
-        "own slice (fabric only)",
+        "own slice",
     )
     p_sw.add_argument("--lease-ttl", type=float, default=3.0,
                       metavar="SECONDS",
-                      help="job lease time-to-live between heartbeats "
-                      "(fabric only)")
+                      help="job lease time-to-live between heartbeats")
     p_sw.add_argument("--retries", type=int, default=2, metavar="N",
                       help="attempts per cell beyond the first before "
-                      "poison quarantine (fabric) / failure (pool)")
+                      "poison quarantine")
     p_sw.add_argument("--cell-timeout", type=float, default=None,
                       metavar="SECONDS",
-                      help="per-cell watchdog; in fabric mode the lease "
-                      "stops renewing past this, so a peer steals")
+                      help="per-cell watchdog: the lease stops renewing "
+                      "past this, so a peer steals the cell")
     p_sw.add_argument("--run-timeout", type=float, default=None,
                       metavar="SECONDS",
                       help="overall wall bound; the fabric returns an "
                       "honest partial report at expiry")
     p_sw.add_argument("--compact", action="store_true",
                       help="compact the fabric store after the sweep")
-    p_sw.add_argument("--checkpoint", default=None, metavar="PATH",
-                      help="legacy JSON sweep checkpoint: plain mode "
-                      "uses it; fabric mode imports it into the store")
     p_sw.add_argument("--chaos-seed", type=int, default=None, metavar="N",
                       help="inject a deterministic randomized fault "
                       "schedule into the fabric workers")
@@ -784,7 +782,7 @@ def _parse_seeds(text: str) -> list[int]:
         raise SystemExit(f"bad --seeds {text!r}: expected A-B or S1,S2,...")
 
 
-# Fabric/pool workers import the cell by qualified name, so it must be a
+# Fabric workers import the cell by qualified name, so it must be a
 # module-level function taking the whole parameter tuple.
 def _sweep_cell(param):
     import time
@@ -816,54 +814,37 @@ def _cmd_sweep(args) -> int:
         [u, s, args.ecus, args.tasks, args.objective, args.time_limit]
         for u in utils for s in seeds
     ]
-    if ((args.chaos_seed is not None or args.chaos_profile is not None)
-            and not args.fabric_dir):
-        raise SystemExit("sweep chaos injection needs --fabric-dir "
-                         "(the plain pool has no fault sites)")
     chaos = _chaos_from_args(args)
-    # A governor over the coordinator process: fabric store appends and
-    # sweep checkpoints run here, so the quota bites where the bytes
-    # land; governed(None) is a cheap no-op.
+    import tempfile
+    from contextlib import nullcontext
+
+    from repro.fabric import ResultStore, fabric_sweep
     from repro.governor import governed
 
-    stats = None
-    with governed(_governor_from_args(args)) as gov:
-        if args.fabric_dir:
-            from repro.fabric import ResultStore, fabric_sweep
-            from repro.fabric.coordinator import import_sweep_checkpoint
-
-            if args.checkpoint:
-                n = import_sweep_checkpoint(args.fabric_dir,
-                                            args.checkpoint, cells)
-                print(f"imported {n} cell(s) from legacy checkpoint "
-                      f"{args.checkpoint}", file=sys.stderr)
-            outcome = fabric_sweep(
-                _sweep_cell, cells,
-                fabric_dir=args.fabric_dir,
-                workers=args.workers,
-                steal=args.steal,
-                lease_ttl=args.lease_ttl,
-                max_attempts=args.retries + 1,
-                job_timeout=args.cell_timeout,
-                run_timeout=args.run_timeout,
-                chaos=chaos,
-            )
-            results, stats = outcome.results, dict(outcome.stats)
-            stats["degraded"] = outcome.degraded
-            if args.compact:
-                store = ResultStore(args.fabric_dir)
-                stats["compaction"] = store.compact()
-        else:
-            from repro.parallel import run_sweep
-
-            results = run_sweep(
-                _sweep_cell, cells,
-                processes=args.workers,
-                cell_timeout=args.cell_timeout,
-                retries=args.retries,
-                checkpoint=args.checkpoint,
-                chaos=chaos,
-            )
+    keep = bool(args.fabric_dir)
+    root = (nullcontext(args.fabric_dir) if keep
+            else tempfile.TemporaryDirectory(prefix="repro-sweep-"))
+    # A governor over the coordinator process: fabric store appends run
+    # here, so the quota bites where the bytes land; governed(None) is a
+    # cheap no-op.
+    with root as fabric_dir, governed(_governor_from_args(args)) as gov:
+        outcome = fabric_sweep(
+            _sweep_cell, cells,
+            fabric_dir=fabric_dir,
+            workers=args.workers,
+            steal=args.steal,
+            lease_ttl=args.lease_ttl,
+            max_attempts=args.retries + 1,
+            job_timeout=args.cell_timeout,
+            run_timeout=args.run_timeout,
+            chaos=chaos,
+        )
+        results, stats = outcome.results, dict(outcome.stats)
+        stats["degraded"] = outcome.degraded
+        if not keep:
+            del stats["events_path"]  # removed with the directory
+        if args.compact:
+            stats["compaction"] = ResultStore(fabric_dir).compact()
         if gov is not None:
             print("governor: "
                   + json.dumps(gov.stats_dict(), sort_keys=True),
@@ -883,11 +864,13 @@ def _cmd_sweep(args) -> int:
             print(f"  - util={r.param[0]} seed={r.param[1]}: "
                   f"{first[-1] if first else 'unknown error'}",
                   file=sys.stderr)
-    if stats is not None:
-        print(f"fabric: {stats['completed']} completed, "
-              f"{stats['errors']} errors, {stats['poisoned']} poisoned, "
-              f"{stats['restored']} restored from prior runs",
-              file=sys.stderr)
+    print(f"fabric: {stats['completed']} completed, "
+          f"{stats['errors']} errors, {stats['poisoned']} poisoned, "
+          f"{stats['restored']} restored from prior runs",
+          file=sys.stderr)
+    if stats["unstored"]:
+        print(f"fabric: {stats['unstored']} result(s) could not be "
+              f"stored; a re-run computes them again", file=sys.stderr)
     if args.output:
         payload = {
             "cells": [

@@ -2,13 +2,12 @@
 
 Historically every solve entry point grew its own kwarg set --
 ``Allocator.minimize(objective, time_limit=, reuse_learned=, budget=,
-checkpoint=, certify=)``, ``SolveSupervisor(..., heuristics=, verify=)``,
-``solve_portfolio(..., cell_timeout=, retries=)`` -- and the CLI
-re-invented all of them as flags.  :class:`SolveRequest` is the single
+checkpoint=, certify=)``, ``SolveSupervisor(..., heuristics=, verify=)``
+-- and the CLI re-invented all of them as flags.  :class:`SolveRequest` is the single
 carrier for all solve options; every public entry point accepts one
 (``request=``), and the CLI builds a request from argv so library and
 command line cannot drift apart.  Every entry point -- ``Allocator``,
-``SolveSupervisor``, ``solve_portfolio`` -- accepts *only* a request:
+``SolveSupervisor`` -- accepts *only* a request:
 the legacy kwarg shims (and the deprecated ``warm_start`` /
 ``warm_allocation`` request fields) are gone, and passing one raises
 :class:`TypeError` with a migration hint (:func:`reject_legacy`).
@@ -158,9 +157,7 @@ class SolveRequest:
     share_clauses: bool = True
     #: Maximum length of an exchanged learnt clause.
     share_max_len: int = 8
-    #: Watchdog timeout per worker cell (portfolio baselines).
-    cell_timeout: float | None = None
-    #: Respawn attempts for a crashed probe worker / sweep cell.
+    #: Respawn attempts for a crashed probe worker.
     retries: int = 1
     #: Heuristic fallback chain for supervised solves.
     heuristics: tuple = ("greedy", "annealing")

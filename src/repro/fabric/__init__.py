@@ -1,10 +1,11 @@
-"""The sharded experiment fabric: crash-surviving sweeps at scale.
+"""The sharded experiment fabric: the one sweep engine.
 
-``repro.parallel.run_sweep`` runs one process pool on one box; this
-package lifts the checkpoint-generation discipline of PR 5 one level
-into a **fault-tolerant experiment fabric** for the 10k-100k-cell
-parametric sweeps the roadmap asks for (the workload class of
-parametric schedulability studies, cf. arXiv 1302.1306):
+The paper's evaluations (tables 1-4) are sweeps of independent
+BIN_SEARCH cells.  This package runs every such sweep -- one cell or
+100k, inline or across worker processes -- as a **fault-tolerant
+experiment fabric** built on the checkpoint-generation discipline of
+:mod:`repro.robust.checkpoint` (the workload class of parametric
+schedulability studies, cf. arXiv 1302.1306):
 
 - :mod:`repro.fabric.jobs` -- every sweep cell is a **content-addressed
   job**: SHA-256 over the canonicalized parameter, the solve-config
@@ -21,15 +22,23 @@ parametric schedulability studies, cf. arXiv 1302.1306):
   retry/backoff plus a poison-job quarantine guarantee the run degrades
   to an honest partial report instead of hanging.
 
-Entry points: :func:`repro.fabric.fabric_sweep` (or
-``repro.parallel.run_sweep(..., fabric_dir=...)``, or the CLI's
-``repro sweep --fabric-dir``).  Chaos sites ``fabric.store.append``,
-``fabric.store.fsync``, ``fabric.lease.renew`` and
-``fabric.worker.claim`` make the whole protocol torture-testable
+Entry points: :func:`repro.fabric.fabric_sweep`, which returns one
+:class:`SweepResult` per parameter in parameter order, and the CLI's
+``repro sweep`` (in a throwaway directory unless ``--fabric-dir`` names
+one to keep).  ``workers=0`` runs the same protocol inline; a cell that
+hangs or crashes a worker process is re-run by a peer once its lease
+expires (``job_timeout`` stops a hung cell's renewals).  Chaos sites
+``fabric.store.append``, ``fabric.store.fsync``, ``fabric.lease.renew``
+and ``fabric.worker.claim`` make the whole protocol torture-testable
 (``tests/test_fabric_torture.py``); see ``docs/FABRIC.md``.
 """
 
-from repro.fabric.coordinator import EVENTS_NAME, FabricOutcome, fabric_sweep
+from repro.fabric.coordinator import (
+    EVENTS_NAME,
+    FabricOutcome,
+    SweepResult,
+    fabric_sweep,
+)
 from repro.fabric.jobs import Job, code_fingerprint, job_key, make_jobs
 from repro.fabric.lease import LeaseBoard
 from repro.fabric.store import (
@@ -43,6 +52,7 @@ from repro.fabric.store import (
 __all__ = [
     "fabric_sweep",
     "FabricOutcome",
+    "SweepResult",
     "EVENTS_NAME",
     "Job",
     "job_key",

@@ -18,7 +18,11 @@
    more than ``max_attempts`` times without a result is poisoned and
    recorded as a failed cell, and when the respawn budget or
    ``run_timeout`` is exhausted the run returns a **partial** result
-   set with explicit per-cell errors -- never a hang.
+   set with explicit per-cell errors -- never a hang;
+5. a result the store refuses (full disk, revoked mount, disk quota) is
+   not thrown away: the worker keeps it, never re-claims that cell, and
+   sends it to the coordinator over a pipe, so the run still returns
+   it (``stats["unstored"]`` counts them; a later run re-computes them).
 
 Worker/coordinator lifecycle events are appended to
 ``<fabric_dir>/fabric-events.jsonl`` (one JSON object per line, single
@@ -40,12 +44,11 @@ from typing import Any, Callable, Sequence
 from repro.fabric.jobs import Job, make_jobs
 from repro.fabric.lease import LeaseBoard
 from repro.fabric.store import FabricStoreError, ResultStore
-from repro.parallel import SweepResult
 
 __all__ = [
+    "SweepResult",
     "FabricOutcome",
     "fabric_sweep",
-    "import_sweep_checkpoint",
     "EVENTS_NAME",
 ]
 
@@ -54,6 +57,23 @@ EVENTS_NAME = "fabric-events.jsonl"
 #: A worker whose heartbeat file is older than this many lease TTLs is
 #: presumed wedged and killed (its leases then expire and are stolen).
 _HB_STALE_TTLS = 4.0
+
+
+@dataclass
+class SweepResult:
+    """Outcome of one sweep cell."""
+
+    param: Any
+    value: Any = None
+    #: Full traceback of a cell that raised, or the fabric's reason
+    #: (poisoned, not completed); None on success.
+    error: str | None = None
+    seconds: float = 0.0
+    attempts: int = 1
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
 
 
 class _EventLog:
@@ -99,6 +119,9 @@ class _WorkerSpec:
     job_timeout: float | None
     poll_interval: float
     chaos: object | None
+    #: Write end of the pipe to the coordinator, for results the store
+    #: refused; None when the loop runs inline in the coordinator.
+    outbox: object | None = None
 
 
 def _short(key: str) -> str:
@@ -157,8 +180,8 @@ def _run_leased(spec: _WorkerSpec, board: LeaseBoard, job: Job
 
 def _append_result(writer, events: _EventLog, record: dict) -> bool:
     """Append one record, degrading honestly: an unserializable value
-    becomes an error record, a store failure is logged and the job is
-    left unrecorded (a peer or retry re-runs it)."""
+    becomes an error record, a store failure is logged and reported as
+    False (the caller keeps the result in memory)."""
     try:
         writer.append(record)
         return True
@@ -179,8 +202,33 @@ def _append_result(writer, events: _EventLog, record: dict) -> bool:
     return False
 
 
-def _worker_loop(spec: _WorkerSpec) -> None:
-    """The work-stealing loop: scan, claim, run, append, repeat."""
+def _keep_unstored(spec: _WorkerSpec, kept: dict, record: dict) -> None:
+    """Hold a result the store refused: in ``kept``, so this worker never
+    claims the cell again, and -- from a worker process -- on the pipe
+    to the coordinator, which returns it with the run's results."""
+    kept[record["key"]] = record
+    if spec.outbox is None:
+        return
+    try:
+        spec.outbox.send(record)
+    except Exception as exc:  # noqa: BLE001 - unpicklable value, or the
+        # coordinator is gone; report what we can.
+        try:
+            spec.outbox.send(dict(
+                record, value=None,
+                error=f"fabric: result could be neither stored nor "
+                      f"returned ({exc!r})",
+            ))
+        except Exception:  # noqa: BLE001
+            pass
+
+
+def _worker_loop(spec: _WorkerSpec, kept: dict | None = None) -> dict:
+    """The work-stealing loop: scan, claim, run, append, repeat.
+
+    Returns the results the store refused (key -> record), also filled
+    into ``kept`` when given."""
+    kept = {} if kept is None else kept
     board = LeaseBoard(spec.fabric_dir, ttl=spec.lease_ttl,
                        max_attempts=spec.max_attempts)
     store = ResultStore(spec.fabric_dir)
@@ -192,6 +240,7 @@ def _worker_loop(spec: _WorkerSpec) -> None:
             if os.path.exists(spec.stop_path):
                 return
             done = set(store.scan().records)
+            done.update(kept)
             todo = [j for j in spec.jobs
                     if j.key not in done and board.poisoned(j.key) is None]
             if not todo:
@@ -231,18 +280,20 @@ def _worker_loop(spec: _WorkerSpec) -> None:
                     events.log("retry", key=_short(job.key),
                                attempt=attempt)
                 else:
-                    recorded = _append_result(writer, events, {
+                    record = {
                         "key": job.key, "param": job.param,
                         "value": value, "error": error,
                         "seconds": round(seconds, 6), "attempts": attempt,
                         "worker": spec.name,
-                    })
-                    if recorded:
+                    }
+                    if _append_result(writer, events, record):
                         events.log(
                             "completed" if error is None else "failed",
                             key=_short(job.key), attempt=attempt,
                             seconds=round(seconds, 3),
                         )
+                    else:
+                        _keep_unstored(spec, kept, record)
                 board.release(job.key, spec.name)
                 break  # rescan: fresh done-set, stop file, steal order
             if not progressed:
@@ -253,6 +304,7 @@ def _worker_loop(spec: _WorkerSpec) -> None:
                 time.sleep(spec.poll_interval)
     finally:
         writer.close()
+    return kept
 
 
 def _worker_main(spec: _WorkerSpec) -> None:  # pragma: no cover - subprocess
@@ -261,70 +313,6 @@ def _worker_main(spec: _WorkerSpec) -> None:  # pragma: no cover - subprocess
 
         chaos_mod.install(spec.chaos)
     _worker_loop(spec)
-
-
-def import_sweep_checkpoint(
-    fabric_dir: str,
-    checkpoint,
-    params: Sequence[Any],
-    config: Any = None,
-    code: str | None = None,
-) -> int:
-    """Migrate a legacy :class:`~repro.robust.checkpoint.SweepCheckpoint`
-    (object or JSON path) into the fabric store, once.
-
-    Cells are re-keyed by content address; cells already in the store,
-    recorded for a different parameter list, or failing JSON-shape
-    validation are skipped silently -- the fabric re-runs anything it
-    cannot trust.  Returns the number of records imported.
-    """
-    from repro.robust.checkpoint import SweepCheckpoint
-
-    if isinstance(checkpoint, str):
-        if not os.path.exists(checkpoint):
-            return 0
-        try:
-            ckpt = SweepCheckpoint.load(checkpoint)
-        except (ValueError, OSError):
-            return 0  # corrupt legacy file: nothing trustworthy to keep
-    else:
-        ckpt = checkpoint
-    params = list(params)
-    if ckpt is None or not ckpt.cells or not ckpt.matches(params):
-        return 0
-    store = ResultStore(fabric_dir)
-    existing = set(store.scan().records)
-    writer = None
-    imported = 0
-    try:
-        for job in make_jobs(params, config=config, code=code):
-            cell = ckpt.get(job.index)
-            if (cell is None or job.key in existing
-                    or not SweepCheckpoint.valid_cell(cell)):
-                continue
-            if writer is None:
-                writer = store.writer("legacy-import")
-            try:
-                writer.append({
-                    "key": job.key, "param": job.param,
-                    "value": cell.get("value"),
-                    "error": cell.get("error"),
-                    "seconds": cell.get("seconds", 0.0),
-                    "attempts": cell.get("attempts", 1),
-                    "worker": "legacy-import",
-                })
-            except (TypeError, ValueError, FabricStoreError, OSError):
-                continue  # this cell re-runs; the rest still import
-            existing.add(job.key)
-            imported += 1
-    finally:
-        if writer is not None:
-            writer.close()
-    if imported:
-        _EventLog(os.path.abspath(fabric_dir), "coordinator").log(
-            "legacy-import", records=imported,
-        )
-    return imported
 
 
 @dataclass
@@ -349,6 +337,7 @@ class _LiveWorker:
     name: str
     hb_path: str
     index: int  # preferred-slice index, reused on respawn
+    inbox: Any  # read end of the worker's unstored-results pipe
 
 
 def _spawn(ctx, fn, jobs, index: int, generation: int, workers: int,
@@ -363,17 +352,36 @@ def _spawn(ctx, fn, jobs, index: int, generation: int, workers: int,
     _touch(hb_path)
     preferred = [j for k, j in enumerate(jobs) if k % workers == index]
     others = [j for k, j in enumerate(jobs) if k % workers != index]
+    inbox, outbox = ctx.Pipe(duplex=False)
     spec = _WorkerSpec(
         fn=fn, jobs=preferred + others if steal else preferred,
         name=name, fabric_dir=fabric_dir, hb_path=hb_path,
         stop_path=stop_path, lease_ttl=lease_ttl,
         max_attempts=max_attempts, retry_errors=retry_errors,
         backoff=backoff, job_timeout=job_timeout,
-        poll_interval=poll_interval, chaos=chaos,
+        poll_interval=poll_interval, chaos=chaos, outbox=outbox,
     )
     proc = ctx.Process(target=_worker_main, args=(spec,), daemon=True)
     proc.start()
-    return _LiveWorker(proc=proc, name=name, hb_path=hb_path, index=index)
+    outbox.close()  # the child's copy is the only writer: EOF on exit
+    return _LiveWorker(proc=proc, name=name, hb_path=hb_path, index=index,
+                       inbox=inbox)
+
+
+def _drain(inboxes: list, kept: dict) -> None:
+    """Collect unstored results from worker pipes into ``kept`` (a value
+    beats an error for the same cell); a pipe at EOF is dropped."""
+    for conn in list(inboxes):
+        try:
+            while conn.poll():
+                record = conn.recv()
+                prior = kept.get(record["key"])
+                if prior is None or prior.get("error") is not None:
+                    kept[record["key"]] = record
+        except Exception:  # noqa: BLE001 - EOF, or a message torn by a
+            # killed worker: that pipe has nothing more to give.
+            inboxes.remove(conn)
+            conn.close()
 
 
 def fabric_sweep(
@@ -401,7 +409,7 @@ def fabric_sweep(
     spawns that many work-stealing processes.  ``config``/``code`` feed
     the content address (:func:`repro.fabric.jobs.job_key`); ``chaos``
     is a :class:`repro.chaos.ChaosSchedule` installed in every worker.
-    Results come back as :class:`repro.parallel.SweepResult` in
+    Results come back as :class:`SweepResult` in
     parameter order, restored from the store wherever a previous run --
     any previous run sharing the directory -- already recorded them.
     """
@@ -426,6 +434,7 @@ def fabric_sweep(
 
     degraded = False
     reap_count = 0
+    kept: dict = {}  # results computed this run that the store refused
     if pending and workers <= 0:
         spec = _WorkerSpec(
             fn=fn, jobs=jobs, name="w-inline", fabric_dir=fabric_dir,
@@ -444,21 +453,26 @@ def fabric_sweep(
             # The inline protocol cannot steal from peers, but expired
             # leases (a previous run's corpse) must still be reaped.
             reap_count += len(board.reap())
-            _worker_loop(spec)
+            _worker_loop(spec, kept)
         if deadline is not None and time.monotonic() > deadline:
             degraded = True
     elif pending:
         degraded, reap_count = _supervise(
             fn, jobs, workers, steal, fabric_dir, stop_path, board,
             store, events, lease_ttl, max_attempts, retry_errors,
-            backoff, job_timeout, run_timeout, poll_interval, chaos,
+            backoff, job_timeout, run_timeout, poll_interval, chaos, kept,
         )
 
     final = store.scan()
     results: list[SweepResult] = []
-    completed = errors = poisoned = missing = 0
+    completed = errors = poisoned = missing = unstored = 0
     for job in jobs:
         rec = final.records.get(job.key)
+        held = kept.get(job.key)
+        if held is not None and (rec is None or (
+                rec.get("error") is not None and held.get("error") is None)):
+            rec = held  # a value beats a peer's stored poison error
+            unstored += 1
         if rec is not None:
             res = SweepResult(
                 param=job.param,
@@ -469,6 +483,8 @@ def fabric_sweep(
             )
             if res.error is None:
                 completed += 1
+            elif board.poisoned(job.key) is not None:
+                poisoned += 1  # the poison path records an error too
             else:
                 errors += 1
         else:
@@ -495,6 +511,7 @@ def fabric_sweep(
         "errors": errors,
         "poisoned": poisoned,
         "missing": missing,
+        "unstored": unstored,
         "restored": len(jobs) - len(pending),
         "duplicates_deduped": final.duplicates,
         "reaped_leases": reap_count,
@@ -509,10 +526,11 @@ def fabric_sweep(
 
 def _supervise(fn, jobs, workers, steal, fabric_dir, stop_path, board,
                store, events, lease_ttl, max_attempts, retry_errors,
-               backoff, job_timeout, run_timeout, poll_interval, chaos
-               ) -> tuple[bool, int]:
+               backoff, job_timeout, run_timeout, poll_interval, chaos,
+               kept) -> tuple[bool, int]:
     """Spawn and babysit the worker fleet; returns ``(degraded,
-    reaped_lease_count)``."""
+    reaped_lease_count)`` and fills ``kept`` with the results workers
+    computed but could not store."""
     ctx = mp.get_context()
     workers = max(1, workers)
 
@@ -524,6 +542,7 @@ def _supervise(fn, jobs, workers, steal, fabric_dir, stop_path, board,
         )
 
     fleet: list[_LiveWorker] = [spawn(i, 0) for i in range(workers)]
+    inboxes = [w.inbox for w in fleet]
     generations = {i: 0 for i in range(workers)}
     respawn_budget = workers * 2
     hb_limit = max(job_timeout or 0.0, lease_ttl * _HB_STALE_TTLS, 2.0)
@@ -531,14 +550,20 @@ def _supervise(fn, jobs, workers, steal, fabric_dir, stop_path, board,
                 if run_timeout is not None else None)
     degraded = False
     reap_count = 0
+
+    def finished() -> bool:
+        _drain(inboxes, kept)
+        done = set(store.scan().records)
+        done.update(kept)
+        return all(j.key in done or board.poisoned(j.key) is not None
+                   for j in jobs)
+
     try:
         while True:
             for key in board.reap():
                 reap_count += 1
                 events.log("reaped", key=_short(key))
-            done = set(store.scan().records)
-            if all(j.key in done or board.poisoned(j.key) is not None
-                   for j in jobs):
+            if finished():
                 break
             if deadline is not None and time.monotonic() > deadline:
                 events.log("run-timeout")
@@ -572,6 +597,7 @@ def _supervise(fn, jobs, workers, steal, fabric_dir, stop_path, board,
                     respawn_budget -= 1
                     generations[w.index] += 1
                     nw = spawn(w.index, generations[w.index])
+                    inboxes.append(nw.inbox)
                     events.log("worker-respawned", worker=nw.name)
                     alive.append(nw)
             fleet = alive
@@ -579,9 +605,7 @@ def _supervise(fn, jobs, workers, steal, fabric_dir, stop_path, board,
                 # Clean exits mean the work is done (re-checked at the
                 # loop top); reaching here with pending work and no
                 # respawn budget is the honest-degradation path.
-                done = set(store.scan().records)
-                if all(j.key in done or board.poisoned(j.key) is not None
-                       for j in jobs):
+                if finished():
                     break
                 events.log("workers-exhausted")
                 degraded = True
@@ -589,12 +613,20 @@ def _supervise(fn, jobs, workers, steal, fabric_dir, stop_path, board,
             time.sleep(poll_interval)
     finally:
         _touch(stop_path)
+        # Idle workers see STOP within a poll interval.  Once every cell
+        # is done, a worker still busy is re-running a finished cell, so
+        # it gets a short grace; after a timeout it may be finishing a
+        # pending one.
+        grace = 5.0 if degraded else 1.0
         for w in fleet:
-            w.proc.join(5.0)
+            w.proc.join(grace)
             if w.proc.is_alive():
                 w.proc.terminate()
                 w.proc.join(1.0)
             if w.proc.is_alive():  # pragma: no cover - stubborn worker
                 w.proc.kill()
                 w.proc.join()
+        _drain(inboxes, kept)
+        for conn in inboxes:
+            conn.close()
     return degraded, reap_count

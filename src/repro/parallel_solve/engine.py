@@ -19,10 +19,11 @@ encoding from the serialized system.  The parent encoding is never
 probed, so a respawned worker forks a pristine copy and replays the
 group's probe history to realign guards with its surviving peers.
 
-Fault handling mirrors :mod:`repro.parallel`: a worker death (EOF on its
-pipe) triggers a bounded number of respawns; cancellation is cooperative
-with one solve-slice latency; budget / time-limit expiry winds the fleet
-down gracefully and reports an honest anytime bound (``proven`` False).
+Fault handling: a worker death (EOF on its pipe) triggers a bounded
+number of respawns; cancellation is cooperative with one solve-slice
+latency; budget / time-limit expiry winds the fleet down gracefully and
+reports an honest anytime bound (``proven`` False).  A worker whose
+engine process died exits on its own (it polls for re-parenting).
 
 Bounds providers (:mod:`repro.bounds`) join the fleet in two modes:
 ``bounds_mode="auto"`` resolves and audits them before the first
@@ -109,14 +110,12 @@ class _Group:
         return self.spec is None and not self.pending and not self.dead
 
 
-def speculative_minimize(allocator, objective, request, faults=None):
+def speculative_minimize(allocator, objective, request):
     """Minimize ``objective`` with the parallel engine.
 
     ``allocator`` is a :class:`repro.core.allocator.Allocator`;
     ``request`` a :class:`repro.core.api.SolveRequest` whose
     ``effective_groups()`` / ``effective_racers()`` size the fleet.
-    ``faults`` (tests only) maps worker id -> probe ordinal at which that
-    worker ``os._exit``\\ s, exercising the respawn path.
 
     Returns the same :class:`~repro.core.allocator.AllocationResult` a
     sequential :meth:`Allocator.minimize` would -- bit-identical certified
@@ -186,7 +185,6 @@ def speculative_minimize(allocator, objective, request, faults=None):
                 certify=request.certify,
                 share=share,
                 share_max_len=request.share_max_len,
-                die_at=(faults or {}).get(wid),
                 race_config=race_cfgs[r],
                 chaos=request.chaos,
             )
@@ -364,7 +362,6 @@ def speculative_minimize(allocator, objective, request, faults=None):
             and crash_counts[w.wid] < _CRASH_QUARANTINE
         ):
             respawns += 1
-            w.spec.die_at = None  # an injected crash fires only once
             if spawn(w, grp.completed):
                 if grp.spec is not None and not grp.answered:
                     # Rejoin the race on the probe still in flight.

@@ -50,6 +50,15 @@ __all__ = ["WorkerSpec", "probe_worker_main"]
 _IPC_ATTEMPTS = 3
 _IPC_BACKOFF = 0.005
 
+#: Seconds between parent-liveness checks while a worker waits idle.
+_ORPHAN_POLL = 0.5
+
+#: This worker process's parent pid at start-up (set by
+#: :func:`probe_worker_main`); a different ``getppid()`` later means the
+#: worker was orphaned -- the engine (or, under ``forkserver``, the fork
+#: server) died without sending "stop" -- and it exits on its own.
+_parent_pid: int | None = None
+
 
 @dataclass
 class WorkerSpec:
@@ -72,9 +81,6 @@ class WorkerSpec:
     #: Probes already dispatched to this group, replayed (bounds only)
     #: by a respawned worker to restore guard/variable alignment.
     history: list = field(default_factory=list)
-    #: Fault injection for tests: ``os._exit`` when starting the n-th
-    #: probe (1-based); None = healthy.
-    die_at: int | None = None
     race_config: RaceConfig = field(default_factory=RaceConfig)
     #: :class:`repro.chaos.ChaosSchedule` installed in the worker process
     #: (cross-process execution counts live in its state_dir); None = off.
@@ -120,6 +126,8 @@ def probe_worker_main(conn, spec: WorkerSpec, inbox, peers, enc_pack):
     parent forked us with its encoding (copy-on-write), else None and
     the worker rebuilds everything from ``spec.system_blob``.
     """
+    global _parent_pid
+    _parent_pid = os.getppid()
     if spec.chaos is not None:
         from repro import chaos as chaos_mod
 
@@ -155,17 +163,18 @@ def probe_worker_main(conn, spec: WorkerSpec, inbox, peers, enc_pack):
         for lo, hi in spec.history:
             _add_bounds(enc, cost_var, lower, lo, hi)
         conn.send(("ready", spec.worker_id, time.perf_counter() - t0))
-        probes_served = 0
         while True:
+            # Forked siblings hold copies of the parent's pipe ends, so
+            # a dead parent never shows up as EOF: poll, and check that
+            # the parent is still ours between polls.
+            while not conn.poll(_ORPHAN_POLL):
+                _check_parent()
             msg = conn.recv()
             if msg[0] == "stop":
                 break
             if msg[0] == "cancel":
                 continue  # stale cancel for an already-finished probe
             _, probe_id, lo, hi, wall = msg
-            probes_served += 1
-            if spec.die_at is not None and probes_served >= spec.die_at:
-                os._exit(87)  # FAULT_EXIT_CODE: injected crash
             _serve_probe(
                 conn, spec, enc, cost_var, lower, certifier,
                 inbox, peers, exported,
@@ -185,8 +194,16 @@ def probe_worker_main(conn, spec: WorkerSpec, inbox, peers, enc_pack):
             pass
 
 
+def _check_parent() -> None:
+    """Raise :class:`_Stop` once the spawning process is gone (this
+    worker was re-parented: nobody will ever send "stop")."""
+    if _parent_pid is not None and os.getppid() != _parent_pid:
+        raise _Stop()
+
+
 def _drain_control(conn, probe_id) -> bool:
     """Handle queued control messages; True when this probe is cancelled."""
+    _check_parent()
     cancelled = False
     while conn.poll():
         msg = conn.recv()

@@ -1,4 +1,4 @@
-"""Solve supervision: budgets, checkpoints, watchdogs, degradation.
+"""Solve supervision: budgets, checkpoints, degradation.
 
 The SOLVE/BIN_SEARCH loop (paper section 5.2) and the tables-1-4 sweeps
 are long-running searches over NP-hard instances; serving them at
@@ -9,16 +9,16 @@ production scale demands that every solve is *bounded*, *resumable*, and
   (wall time / conflicts / decisions) honored inside the CDCL search
   loop, so a single probe is interruptible mid-search,
 - :mod:`repro.robust.checkpoint` -- JSON checkpoint/resume state for
-  binary searches (:class:`SearchCheckpoint`) and benchmark sweeps
-  (:class:`SweepCheckpoint`),
+  binary searches (:class:`SearchCheckpoint`),
 - :mod:`repro.robust.supervisor` -- the :class:`SolveSupervisor`
   escalation chain (incremental -> rebuild -> heuristic) that always
   returns a usable allocation with an honest status,
-- :mod:`repro.robust.faults` -- deterministic fault injection (worker
-  hangs, crashes, mid-cell errors) for testing all of the above.
+- :mod:`repro.robust.faults` -- single-point certificate corruption
+  (proof lines, witnesses) for testing the checkers.
 
-The sweep watchdog itself lives in :func:`repro.parallel.run_sweep`
-(per-cell timeouts, hung-worker kill, bounded retry); see
+Process-level fault injection lives in :mod:`repro.chaos`; sweeps are
+supervised by the experiment fabric (:mod:`repro.fabric`: leases,
+``job_timeout``, bounded retry, poison quarantine).  See
 ``docs/ROBUSTNESS.md`` for the full picture.
 """
 
@@ -27,15 +27,10 @@ from repro.robust.checkpoint import (
     CheckpointCorrupt,
     CorruptArtifact,
     SearchCheckpoint,
-    SweepCheckpoint,
 )
 from repro.robust.flight import FlightRecorder, read_events
 from repro.robust.faults import (
-    FAULT_EXIT_CODE,
     PROOF_CORRUPTIONS,
-    FaultInjected,
-    FaultInjector,
-    FaultPlan,
     corrupt_allocation,
     corrupt_proof_line,
 )
@@ -49,7 +44,6 @@ __all__ = [
     "Budget",
     "BudgetExpired",
     "SearchCheckpoint",
-    "SweepCheckpoint",
     "CheckpointCorrupt",
     "CorruptArtifact",
     "SolveSupervisor",
@@ -57,10 +51,6 @@ __all__ = [
     "SupervisedResult",
     "FlightRecorder",
     "read_events",
-    "FaultPlan",
-    "FaultInjector",
-    "FaultInjected",
-    "FAULT_EXIT_CODE",
     "PROOF_CORRUPTIONS",
     "corrupt_proof_line",
     "corrupt_allocation",

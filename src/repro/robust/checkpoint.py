@@ -1,18 +1,15 @@
-"""Checkpoint/resume state for binary searches and benchmark sweeps.
+"""Checkpoint/resume state for binary searches.
 
-Both checkpoints serialize to plain JSON so an interrupted run can be
-inspected, archived, or resumed on another machine:
-
-- :class:`SearchCheckpoint` records the BIN_SEARCH interval ``[left,
-  right]``, the probe log, and an optional caller payload (the best
-  allocation found so far).  :func:`repro.core.optimize.bin_search`
-  updates it after every probe and consults it on resume -- a resumed
-  search re-certifies the optimum with a final probe, so the result is
-  exactly the one an uninterrupted run would have produced.
-- :class:`SweepCheckpoint` records finished sweep cells by index (guarded
-  by a fingerprint of the parameter list), so
-  :func:`repro.parallel.run_sweep` can skip completed cells after an
-  interruption.
+:class:`SearchCheckpoint` serializes to plain JSON so an interrupted run
+can be inspected, archived, or resumed on another machine.  It records
+the BIN_SEARCH interval ``[left, right]``, the probe log, and an
+optional caller payload (the best allocation found so far).
+:func:`repro.core.optimize.bin_search` updates it after every probe and
+consults it on resume -- a resumed search re-certifies the optimum with
+a final probe, so the result is exactly the one an uninterrupted run
+would have produced.  (Sweeps resume through the experiment fabric's
+result store, :mod:`repro.fabric`; :func:`canonical_blob` is the
+content address both share.)
 
 Crash safety is layered:
 
@@ -47,7 +44,6 @@ from repro.chaos import ChaosDiskFull, chaos_data, chaos_point
 
 __all__ = [
     "SearchCheckpoint",
-    "SweepCheckpoint",
     "atomic_write_json",
     "CheckpointCorrupt",
     "CorruptArtifact",
@@ -408,131 +404,3 @@ def canonical_blob(value: Any) -> bytes:
         ).encode()
     except (TypeError, ValueError):
         return repr(canon).encode()
-
-
-def _fingerprint(params: list) -> str:
-    return hashlib.sha1(canonical_blob(list(params))).hexdigest()
-
-
-@dataclass
-class SweepCheckpoint:
-    """Completed-cell record of one :func:`repro.parallel.run_sweep` run.
-
-    Cells are keyed by their index in the parameter list; ``fingerprint``
-    guards against resuming with a different parameter list.  Cells whose
-    value is not JSON-serializable are *not* recorded (they re-run on
-    resume) -- graceful degradation instead of a corrupt checkpoint.
-    """
-
-    fingerprint: str = ""
-    cells: dict[str, dict] = field(default_factory=dict)
-    path: str | None = None
-    generation: int = 0
-    load_reports: list = field(default_factory=list)
-
-    VERSION = 1
-
-    @classmethod
-    def for_params(cls, params: list, path: str | None = None
-                   ) -> "SweepCheckpoint":
-        return cls(fingerprint=_fingerprint(params), path=path)
-
-    def matches(self, params: list) -> bool:
-        return self.fingerprint == _fingerprint(params)
-
-    def record(self, index: int, value: Any = None, error: str | None = None,
-               seconds: float = 0.0, attempts: int = 1) -> None:
-        cell = {
-            "error": error,
-            "seconds": seconds,
-            "attempts": attempts,
-        }
-        if error is None:
-            try:
-                json.dumps(value)
-            except (TypeError, ValueError):
-                return  # unserializable result: re-run this cell on resume
-            cell["value"] = value
-        self.cells[str(index)] = cell
-        if self.path is not None:
-            self.save(self.path)
-
-    def get(self, index: int) -> dict | None:
-        return self.cells.get(str(index))
-
-    @staticmethod
-    def valid_cell(cell) -> bool:
-        """JSON-shape validation of one restored cell record.
-
-        The integrity envelope catches damaged *bytes*, but a checkpoint
-        edited by hand, written by an older tool, or mangled by a buggy
-        serializer can be byte-intact yet structurally wrong.  Callers
-        (``run_sweep``, the fabric's legacy import) re-queue invalid
-        cells instead of raising -- one bad record must not lose the
-        resume.
-        """
-        if not isinstance(cell, dict):
-            return False
-        error = cell.get("error")
-        if error is not None and not isinstance(error, str):
-            return False
-        if error is None and "value" not in cell:
-            return False
-        if not isinstance(cell.get("seconds", 0.0), (int, float)):
-            return False
-        if not isinstance(cell.get("attempts", 1), int):
-            return False
-        return True
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "sweep",
-            "version": self.VERSION,
-            "fingerprint": self.fingerprint,
-            "cells": self.cells,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepCheckpoint":
-        if data.get("kind") != "sweep":
-            raise ValueError("not a sweep checkpoint")
-        if data.get("version") != cls.VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {data.get('version')!r}"
-            )
-        return cls(
-            fingerprint=data.get("fingerprint", ""),
-            cells=dict(data.get("cells") or {}),
-        )
-
-    def save(self, path: str | None = None) -> None:
-        path = path or self.path
-        if path is None:
-            raise ValueError("no checkpoint path given")
-        self.path = path
-        self.generation += 1
-        save_generations(path, self.to_dict(), self.generation)
-
-    @classmethod
-    def load(cls, path: str) -> "SweepCheckpoint":
-        payload, generation, reports = load_generations(path)
-        out = cls.from_dict(payload)
-        out.path = path
-        out.generation = generation
-        out.load_reports = reports
-        return out
-
-    @classmethod
-    def load_or_create(cls, path: str, params: list) -> "SweepCheckpoint":
-        """Load ``path`` when it exists and matches ``params``; otherwise
-        start a fresh checkpoint bound to ``path``."""
-        if os.path.exists(path):
-            try:
-                out = cls.load(path)
-            except (ValueError, OSError, json.JSONDecodeError):
-                # CheckpointCorrupt lands here too: the damaged files
-                # are already quarantined, start fresh at the same path.
-                return cls.for_params(params, path=path)
-            if out.matches(params):
-                return out
-        return cls.for_params(params, path=path)

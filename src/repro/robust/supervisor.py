@@ -80,8 +80,7 @@ class SolveSupervisor:
     is gone and passing one raises :class:`TypeError` with a migration
     hint.  ``request.heuristics`` names the fallback chain tried (in
     order) when the exact stages produce no usable result; pass ``()``
-    when the caller races its own heuristics (as :func:`repro.core.
-    portfolio.solve_portfolio` does).  ``request.checkpoint`` is
+    for an honest ``unknown`` instead.  ``request.checkpoint`` is
     forwarded to the incremental stage, so an interrupted supervised
     run resumes too.
     """

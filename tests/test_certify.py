@@ -407,6 +407,25 @@ class TestCertifiedOptimization:
         )
         assert result.check_seconds > before
 
+    def test_failing_trailing_lemma_condemns_not_crashes(self):
+        from repro.certify import ProbeCertifier
+        from repro.core.optimize import bin_search
+
+        tasks = tindell_partition(5)
+        arch = tindell_architecture()
+        enc, cost_var, lo, hi, _ = Allocator(tasks, arch)._encode(
+            MinimizeTRT("ring")
+        )
+        certifier = ProbeCertifier(tasks, arch, enc, MinimizeTRT("ring"))
+        bin_search(enc.solver, cost_var, lo, hi,
+                   on_probe=certifier.on_probe)
+        # A lemma logged after the last UNSAT check that is not RUP.
+        certifier.proof.steps.append(("a", (0,)))
+        result = certifier.finalize()
+        assert not result.all_verified
+        bad = result.failures[-1]
+        assert "trailing proof step failed check" in bad.detail
+
     def test_sat_audit_recomputes_cost(self):
         tasks = tindell_partition(7)
         arch = tindell_architecture()

@@ -24,7 +24,6 @@ import json
 import multiprocessing
 import os
 import queue
-import warnings
 
 import pytest
 
@@ -611,13 +610,6 @@ class TestLegacyKwargRemoval:
             SolveSupervisor(tasks, arch, MinimizeTRT("ring"),
                             budget=Budget(wall_seconds=300.0))
 
-    def test_portfolio_legacy_kwargs_raise(self, tiny):
-        from repro.core.portfolio import solve_portfolio
-
-        tasks, arch = tiny
-        with pytest.raises(TypeError, match="solve_portfolio"):
-            solve_portfolio(tasks, arch, MinimizeTRT("ring"), retries=0)
-
     def test_hint_names_the_first_offending_kwarg(self):
         from repro.core.api import reject_legacy
 
@@ -787,19 +779,39 @@ class TestDegradationPaths:
                   "--chaos-profile", "nonsense"])
 
     def test_sweep_survives_checkpoint_loss(self, tmp_path, monkeypatch):
-        from repro.parallel import run_sweep
+        # The fabric's result store is the sweep's checkpoint; with it
+        # gone for good the sweep still returns every computed value
+        # (held in memory, each cell run once) and logs the cause.
+        self._sweep_without_store(tmp_path, monkeypatch, workers=0)
 
-        path = tmp_path / "sweep.json"
-        import repro.robust.checkpoint as ckmod
+    def test_worker_sweep_survives_checkpoint_loss(self, tmp_path,
+                                                   monkeypatch):
+        # Worker processes hand refused results to the coordinator.
+        self._sweep_without_store(tmp_path, monkeypatch, workers=2)
 
-        def always_fails(p, payload, gen):
+    @staticmethod
+    def _sweep_without_store(tmp_path, monkeypatch, workers):
+        from repro.fabric import fabric_sweep
+        from repro.fabric.store import SegmentWriter
+
+        def always_fails(self, record):
             raise OSError("mount revoked")
 
-        monkeypatch.setattr(ckmod, "save_generations", always_fails)
-        results = run_sweep(
-            lambda x: x * x, [1, 2, 3], processes=1, checkpoint=str(path),
-        )
-        assert [r.value for r in results] == [1, 4, 9]
+        monkeypatch.setattr(SegmentWriter, "append", always_fails)
+        out = fabric_sweep(_square, [1, 2, 3],
+                           fabric_dir=str(tmp_path / "fabric"),
+                           workers=workers, backoff=0.01)
+        assert [r.value for r in out.results] == [1, 4, 9]
+        assert out.complete and out.stats["unstored"] == 3
+        # A worker never re-claims a cell it holds; a peer that does not
+        # know may run it once more, so at most one run per worker.
+        assert all(r.attempts <= max(1, workers) for r in out.results)
+        with open(out.stats["events_path"]) as fh:
+            assert "mount revoked" in fh.read()  # the cause is on record
+
+
+def _square(x):
+    return x * x
 
 
 def test_tiny_system_roundtrips_for_other_suites():

@@ -1,10 +1,14 @@
-"""Tests for the genetic baseline and the portfolio runner."""
+"""Tests for the genetic baseline and the heuristic portfolio: no
+heuristic may beat a certified optimum."""
 
 import pytest
 
+from repro.baselines.annealing import simulated_annealing
+from repro.baselines.common import evaluate_cost
 from repro.baselines.genetic import genetic_allocator
+from repro.baselines.greedy import greedy_first_fit
 from repro.core import Allocator, MinimizeTRT, SolveRequest
-from repro.core.portfolio import solve_portfolio
+from repro.core.objectives import objective_spec
 from repro.model import (
     TOKEN_RING,
     Architecture,
@@ -81,30 +85,35 @@ class TestGenetic:
             genetic_allocator(ts, arch)
 
 
+def heuristic_costs(tasks, arch, objective) -> dict:
+    """Cost of each feasible heuristic allocation (greedy, annealing,
+    genetic), keyed by method; infeasible methods are left out."""
+    spec, medium = objective_spec(objective)
+    out = {}
+    greedy = greedy_first_fit(tasks, arch)
+    if greedy.feasible:
+        out["greedy"] = evaluate_cost(tasks, arch, greedy.allocation,
+                                      spec, medium)
+    sa = simulated_annealing(tasks, arch, objective=spec, medium=medium,
+                             iterations=800, seed=1)
+    if sa.feasible:
+        out["annealing"] = sa.cost
+    ga = genetic_allocator(tasks, arch, objective=spec, medium=medium,
+                           population=24, generations=25, seed=1)
+    if ga.feasible:
+        out["genetic"] = ga.cost
+    return out
+
+
 class TestPortfolio:
     def test_portfolio_on_small_instance(self):
         arch = tindell_architecture()
         ts = tindell_partition(7)
-        out = solve_portfolio(
-            ts, arch, MinimizeTRT("ring"),
-            request=SolveRequest(processes=2),
+        exact = Allocator(ts, arch).minimize(
+            request=SolveRequest(objective=MinimizeTRT("ring"),
+                                 certify=True)
         )
-        methods = {e.method for e in out.entries}
-        assert methods == {"greedy", "annealing", "genetic", "sat"}
-        sat_entry = next(e for e in out.entries if e.method == "sat")
-        assert sat_entry.optimal and sat_entry.feasible
-        # The best feasible entry is the SAT one (or a tie).
-        assert out.best is not None
-        assert out.best.cost == sat_entry.cost
-
-    def test_portfolio_sequential_fallback(self):
-        arch = ring2()
-        ts = TaskSet([
-            Task("a", 100, {"p0": 40, "p1": 40}, 100),
-            Task("b", 100, {"p0": 40, "p1": 40}, 100),
-        ])
-        out = solve_portfolio(
-            ts, arch, MinimizeTRT("ring"),
-            request=SolveRequest(processes=1),
-        )
-        assert out.exact is not None and out.exact.feasible
+        assert exact.proven and exact.certificate.all_verified
+        costs = heuristic_costs(ts, arch, MinimizeTRT("ring"))
+        assert costs  # at least one heuristic found an allocation
+        assert all(cost >= exact.cost for cost in costs.values()), costs

@@ -401,3 +401,42 @@ class TestCliAnalyze:
             ExitCode.INFEASIBLE
         )
         assert "NOT SCHEDULABLE" in capsys.readouterr().out
+
+
+def _sweep_argv(out, *extra):
+    return ["sweep", "--utils", "0.6", "--seeds", "0-1", "--tasks", "3",
+            "--workers", "0", "-o", str(out), *extra]
+
+
+class TestCliSweep:
+    def test_rerun_on_fabric_dir_restores_every_cell(self, tmp_path,
+                                                     capsys):
+        fab = str(tmp_path / "fabric")
+        assert main(_sweep_argv(tmp_path / "a.json",
+                                "--fabric-dir", fab)) == 0
+        assert main(_sweep_argv(tmp_path / "b.json",
+                                "--fabric-dir", fab)) == 0
+        first = json.loads((tmp_path / "a.json").read_text())
+        second = json.loads((tmp_path / "b.json").read_text())
+        assert second["fabric"]["restored"] == 2
+        assert second["cells"] == first["cells"]
+        assert "2 restored from prior runs" in capsys.readouterr().err
+
+    def test_without_fabric_dir_leaves_no_state(self, tmp_path,
+                                                monkeypatch):
+        import tempfile
+
+        work, scratch = tmp_path / "work", tmp_path / "tmp"
+        work.mkdir()
+        scratch.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        assert main(_sweep_argv("out.json")) == 0
+        payload = json.loads((work / "out.json").read_text())
+        assert [(c["util"], c["seed"]) for c in payload["cells"]] == [
+            (0.6, 0), (0.6, 1)]
+        assert all(c["error"] is None and c["value"]["feasible"]
+                   for c in payload["cells"])
+        assert payload["fabric"]["completed"] == 2
+        assert os.listdir(work) == ["out.json"]
+        assert os.listdir(scratch) == []  # the temporary fabric is gone

@@ -64,15 +64,31 @@ def _env():
     return env
 
 
+def _group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def _run_killed_then_resume(system_path, tmp_path, *extra):
     """Start a solve, SIGKILL it after the first checkpoint save, then
-    resume it to completion.  Returns the resumed run's output JSON."""
+    resume it to completion.  Returns the resumed run's output JSON.
+
+    The solve runs in its own session, so its process group holds the
+    solve and every worker it forked: once the solve is killed the
+    group must empty by itself (orphaned workers exit), and the
+    ``finally`` kills whatever is left so no process outlives the
+    test."""
     ckpt = str(tmp_path / "ck.json")
     out = str(tmp_path / "out.json")
     proc = subprocess.Popen(
         _solve_argv(system_path, out, ckpt, *extra),
         env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
+    pgid = proc.pid
     try:
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
@@ -83,9 +99,16 @@ def _run_killed_then_resume(system_path, tmp_path, *extra):
         if proc.poll() is None:
             proc.send_signal(signal.SIGKILL)
         killed = proc.wait(60)
+        deadline = time.monotonic() + 5
+        while _group_alive(pgid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _group_alive(pgid), (
+            "processes of the killed solve outlived it by 5 s"
+        )
     finally:
+        if _group_alive(pgid):
+            os.killpg(pgid, signal.SIGKILL)
         if proc.poll() is None:  # pragma: no cover - cleanup only
-            proc.kill()
             proc.wait(60)
     assert killed == -signal.SIGKILL, (
         f"solve finished (rc={killed}) before the kill landed -- "

@@ -13,18 +13,18 @@ Layered like the engine itself:
    answers.
 4. End-to-end: the multiprocessing engine against the sequential
    optimizer (same certified optimum, same proven flag), worker-kill
-   respawn, clause-sharing races, certification.
-5. The ``SolveRequest`` shim: legacy kwargs deprecation-warn but keep
-   working on every public entry point.
-6. The sweep-checkpoint fingerprint regression (tuples vs JSON lists).
+   respawn (a chaos ``solver.slice`` crash), clause-sharing races,
+   certification.
+5. The ``SolveRequest`` shim: legacy kwargs raise with a migration hint
+   on every public entry point.
+6. The sweep content-address regression (tuples vs JSON lists).
 """
-
-import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import ChaosFault, ChaosSchedule
 from repro.core import (
     Allocator,
     MinimizeSumResponseTimes,
@@ -39,7 +39,8 @@ from repro.parallel_solve import (
     default_race_configs,
     speculative_minimize,
 )
-from repro.robust.checkpoint import SweepCheckpoint, _fingerprint
+from repro.fabric import fabric_sweep
+from repro.robust.checkpoint import canonical_blob
 from repro.sat import Solver, mklit, neg
 from repro.workloads import random_taskset, ring_architecture
 
@@ -415,16 +416,37 @@ class TestParallelEngine:
         assert par.solver_stats["parallel"]["racers"] == 2
 
     def test_worker_kill_respawns_and_still_proves(self, small_system,
-                                                   sequential_result):
+                                                   sequential_result,
+                                                   tmp_path):
         tasks, arch, obj = small_system
-        allocator = Allocator(tasks, arch)
+        # The first solve slice of any worker crashes it (os._exit).
+        chaos = ChaosSchedule(str(tmp_path / "chaos"),
+                              [ChaosFault("solver.slice", 1, "crash")])
         res = speculative_minimize(
-            allocator, obj,
-            SolveRequest(objective=obj, processes=2),
-            faults={0: 1},  # worker 0 dies on its first probe
+            Allocator(tasks, arch), obj,
+            SolveRequest(objective=obj, processes=2, chaos=chaos),
         )
         assert res.cost == sequential_result.cost and res.proven
         assert res.solver_stats["parallel"]["respawns"] >= 1
+        assert [e["kind"] for e in chaos.events()] == ["crash"]
+
+    def test_forkserver_workers_are_not_taken_for_orphans(
+            self, small_system, sequential_result, monkeypatch):
+        # Under forkserver a worker's parent is the fork server, not the
+        # engine: the orphan check must compare against the parent the
+        # worker started with, or every worker quits on its first slice.
+        import multiprocessing as mp
+
+        if "forkserver" not in mp.get_all_start_methods():
+            pytest.skip("no forkserver start method on this platform")
+        ctx = mp.get_context("forkserver")
+        monkeypatch.setattr(mp, "get_context", lambda method=None: ctx)
+        tasks, arch, obj = small_system
+        res = Allocator(tasks, arch).minimize(
+            request=SolveRequest(objective=obj, processes=2)
+        )
+        assert res.cost == sequential_result.cost and res.proven
+        assert res.solver_stats["parallel"]["respawns"] == 0
 
     def test_infeasible_is_certified_infeasible(self):
         from repro.model import TOKEN_RING, Architecture, Ecu, Medium, Task
@@ -524,17 +546,6 @@ class TestLegacyShim:
         assert sup.budget is not None
         assert sup.request.objective is obj
 
-    def test_portfolio_legacy_kwargs_raise(self, small_system):
-        from repro.core.portfolio import solve_portfolio
-
-        tasks, arch, obj = small_system
-        with pytest.raises(TypeError, match="SolveRequest"):
-            solve_portfolio(tasks, arch, obj, retries=0)
-        res = solve_portfolio(
-            tasks, arch, obj, request=SolveRequest(retries=0)
-        )
-        assert res.exact is not None and res.exact.feasible
-
     def test_unknown_legacy_kwarg_raises(self):
         from repro.core.api import reject_legacy
 
@@ -554,47 +565,55 @@ class TestLegacyShim:
 
 
 # ---------------------------------------------------------------------------
-# 6. Sweep-checkpoint fingerprint regression
+# 6. Sweep content-address regression
 # ---------------------------------------------------------------------------
+
+
+def _times_ten(param):
+    return param[1] * 10
+
+
+def _exploding(param):
+    raise AssertionError("stored cell re-ran on resume")
 
 
 class TestSweepFingerprint:
     def test_tuples_and_lists_fingerprint_identically(self):
-        # Checkpoints round-trip through JSON, which rewrites tuples as
-        # lists; the fingerprint must not care.
-        assert _fingerprint([(1, 2), ("a", 3)]) == \
-            _fingerprint([[1, 2], ["a", 3]])
-        assert _fingerprint([{"k": (1, 2)}]) == _fingerprint([{"k": [1, 2]}])
+        # The fabric store round-trips through JSON, which rewrites
+        # tuples as lists; the content address must not care.
+        assert canonical_blob([(1, 2), ("a", 3)]) == \
+            canonical_blob([[1, 2], ["a", 3]])
+        assert canonical_blob([{"k": (1, 2)}]) == \
+            canonical_blob([{"k": [1, 2]}])
 
     def test_different_params_still_differ(self):
-        assert _fingerprint([(1, 2)]) != _fingerprint([(2, 1)])
+        assert canonical_blob([(1, 2)]) != canonical_blob([(2, 1)])
 
     def test_resume_accepts_tuple_params_after_json_roundtrip(self,
                                                               tmp_path):
-        params = [("cellA", 1), ("cellB", 2)]
-        path = str(tmp_path / "sweep.json")
-        ckpt = SweepCheckpoint.for_params(params, path=path)
-        ckpt.record(0, value=41)
-        ckpt.save()
-        resumed = SweepCheckpoint.load_or_create(path, params)
-        assert resumed.matches(params)
-        assert resumed.get(0)["value"] == 41  # cell survives the resume
+        params = [("x", 1), ("x", 2)]
+        fabric_dir = str(tmp_path / "fabric")
+        first = fabric_sweep(_times_ten, params, fabric_dir=fabric_dir,
+                             workers=0)
+        assert [r.value for r in first.results] == [10, 20]
+        # The stored records went through JSON; a re-run with the same
+        # tuple params restores every cell and re-runs none.
+        second = fabric_sweep(_exploding, params, fabric_dir=fabric_dir,
+                              workers=0)
+        assert [r.value for r in second.results] == [10, 20]
+        assert [r.param for r in second.results] == params
+        assert second.stats["restored"] == 2
 
     def test_run_sweep_resumes_with_tuple_params(self, tmp_path):
-        from repro.parallel import run_sweep
-
+        # The same resume through worker processes: the tuple params
+        # cross a process boundary and a JSON store before coming back.
         params = [("x", 1), ("x", 2)]
-        path = str(tmp_path / "sweep.json")
-        first = run_sweep(lambda p: p[1] * 10, params, processes=None,
-                          checkpoint=path)
-        assert [r.value for r in first] == [10, 20]
-        # Force a JSON round-trip, then resume: no cell may re-run.
-        blob = json.loads(open(path).read())
-        open(path, "w").write(json.dumps(blob))
-
-        def exploding(p):
-            raise AssertionError("checkpointed cell re-ran on resume")
-
-        second = run_sweep(exploding, params, processes=None,
-                           checkpoint=path)
-        assert [r.value for r in second] == [10, 20]
+        fabric_dir = str(tmp_path / "fabric")
+        first = fabric_sweep(_times_ten, params, fabric_dir=fabric_dir,
+                             workers=2)
+        assert [r.value for r in first.results] == [10, 20]
+        second = fabric_sweep(_exploding, params, fabric_dir=fabric_dir,
+                              workers=2)
+        assert [r.value for r in second.results] == [10, 20]
+        assert [r.param for r in second.results] == params
+        assert second.stats["restored"] == 2

@@ -1,7 +1,5 @@
 """Tests for the reporting helpers, the allocation renderer, the
-parallel sweep runner and the arith-level minimize convenience."""
-
-import pytest
+fabric sweep runner and the arith-level minimize convenience."""
 
 from repro.analysis import Allocation, MsgRef, check_allocation
 from repro.arith import IntSolver
@@ -14,7 +12,7 @@ from repro.model import (
     Task,
     TaskSet,
 )
-from repro.parallel import SweepResult, default_processes, run_sweep
+from repro.fabric import fabric_sweep
 from repro.reporting import (
     ExperimentRow,
     fmt_seconds,
@@ -100,28 +98,29 @@ def _fail_on_three(x):
 
 
 class TestRunSweep:
-    def test_sequential(self):
-        results = run_sweep(_square, [1, 2, 3], processes=1)
+    def _run(self, tmp_path, fn, params, workers):
+        return fabric_sweep(fn, params, fabric_dir=str(tmp_path),
+                            workers=workers).results
+
+    def test_sequential(self, tmp_path):
+        results = self._run(tmp_path, _square, [1, 2, 3], workers=0)
         assert [r.value for r in results] == [1, 4, 9]
         assert all(r.ok for r in results)
 
-    def test_parallel(self):
-        results = run_sweep(_square, list(range(6)), processes=2)
+    def test_parallel(self, tmp_path):
+        results = self._run(tmp_path, _square, list(range(6)), workers=2)
         assert [r.value for r in results] == [0, 1, 4, 9, 16, 25]
 
-    def test_errors_isolated(self):
-        results = run_sweep(_fail_on_three, [2, 3, 4], processes=2)
+    def test_errors_isolated(self, tmp_path):
+        results = self._run(tmp_path, _fail_on_three, [2, 3, 4], workers=2)
         assert results[0].ok and results[2].ok
         assert not results[1].ok
         assert "three is right out" in results[1].error
 
-    def test_param_order_preserved(self):
+    def test_param_order_preserved(self, tmp_path):
         params = list(range(10))
-        results = run_sweep(_square, params, processes=3)
+        results = self._run(tmp_path, _square, params, workers=3)
         assert [r.param for r in results] == params
-
-    def test_default_processes_positive(self):
-        assert default_processes() >= 1
 
 
 class TestArithMinimize:

@@ -13,7 +13,8 @@ import pytest
 from repro.arith import IntSolver
 from repro.core import SolveRequest
 from repro.core.optimize import bin_search
-from repro.robust import Budget, SearchCheckpoint, SweepCheckpoint
+from repro.fabric import ResultStore, fabric_sweep
+from repro.robust import Budget, SearchCheckpoint
 
 
 def _solver():
@@ -274,27 +275,66 @@ class TestAllocatorResume:
         assert resumed.allocation is not None
 
 
-class TestSweepCheckpoint:
-    def test_record_and_resume(self, tmp_path):
-        params = [1, 2, 3]
-        path = str(tmp_path / "sweep.json")
-        ck = SweepCheckpoint.load_or_create(path, params)
-        ck.record(0, value=10, seconds=0.5)
-        ck.record(2, error="Traceback ...", seconds=0.1, attempts=2)
+def _ten_times_or_fail(x):
+    if x == 3:
+        raise ValueError("cell 3 fails")
+    return x * 10
 
-        back = SweepCheckpoint.load_or_create(path, params)
-        assert back.get(0)["value"] == 10
-        assert back.get(1) is None
-        assert back.get(2)["attempts"] == 2
+
+def _only_two_may_run(x):
+    if x != 2:
+        raise AssertionError(f"recorded cell {x} re-ran on resume")
+    return x * 10
+
+
+def _scaled(param):
+    return param * 10
+
+
+def _unserializable(param):
+    return object()
+
+
+class TestSweepCheckpoint:
+    """A sweep's checkpoint is its fabric store: every finished cell,
+    value or error, is a content-addressed record that a later run on
+    the same directory restores instead of re-running."""
+
+    def test_record_and_resume(self, tmp_path):
+        fab = str(tmp_path / "fabric")
+        fabric_sweep(_ten_times_or_fail, [1, 3], fabric_dir=fab,
+                     workers=0, max_attempts=2, retry_errors=True,
+                     backoff=0.0)
+        back = fabric_sweep(_only_two_may_run, [1, 2, 3], fabric_dir=fab,
+                            workers=0)
+        assert back.stats["restored"] == 2
+        assert [r.value for r in back.results[:2]] == [10, 20]
+        assert "cell 3 fails" in back.results[2].error
+        assert back.results[2].attempts == 2  # restored with its record
 
     def test_fingerprint_guards_against_other_params(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        ck = SweepCheckpoint.load_or_create(path, [1, 2])
-        ck.record(0, value=1)
-        fresh = SweepCheckpoint.load_or_create(path, [9, 9, 9])
-        assert fresh.cells == {}  # mismatch: start over
+        fab = str(tmp_path / "fabric")
+        fabric_sweep(_scaled, [1, 2], fabric_dir=fab, workers=0,
+                     config={"scale": 10})
+        # Keys are per cell: only the shared cell [2] is restored.
+        out = fabric_sweep(_scaled, [2, 9], fabric_dir=fab, workers=0,
+                           config={"scale": 10})
+        assert out.stats["restored"] == 1
+        assert [r.value for r in out.results] == [20, 90]
+        # The same cells under another sweep config restore nothing.
+        other = fabric_sweep(_scaled, [1, 2], fabric_dir=fab, workers=0,
+                             config={"scale": 11})
+        assert other.stats["restored"] == 0
 
-    def test_unserializable_values_are_skipped(self):
-        ck = SweepCheckpoint.for_params([0])
-        ck.record(0, value=object())
-        assert ck.get(0) is None  # cell will re-run on resume
+    def test_unserializable_values_are_skipped(self, tmp_path):
+        fab = str(tmp_path / "fabric")
+        out = fabric_sweep(_unserializable, [0], fabric_dir=fab, workers=0)
+        assert not out.results[0].ok and out.results[0].value is None
+        # The store holds a JSON error record, never the bad value, and
+        # a resume restores that honest error.
+        (rec,) = ResultStore(fab).scan().records.values()
+        assert rec["value"] is None and "JSON" in rec["error"]
+        again = fabric_sweep(_unserializable, [0], fabric_dir=fab,
+                             workers=0)
+        assert again.stats["restored"] == 1
+        assert again.results[0].error == out.results[0].error

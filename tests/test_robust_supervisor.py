@@ -1,15 +1,9 @@
 """Tests of graceful degradation (repro.robust.supervisor) and its
-surfacing through the portfolio and the CLI."""
+surfacing through the CLI."""
 
 import json
 
-import pytest
-
 from repro.core import Allocator, MinimizeTRT, SolveRequest
-from repro.core.portfolio import (
-    PortfolioInvariantError,
-    solve_portfolio,
-)
 from repro.model import (
     TOKEN_RING,
     Architecture,
@@ -162,76 +156,20 @@ class TestEscalationChain:
 
 
 class TestPortfolioDegradation:
-    def test_failed_baseline_keeps_error_and_time(self, monkeypatch):
-        tasks, arch = feasible_system()
-        import repro.core.portfolio as pf
-
-        real = pf._baseline_cell
-
-        def faulty(param):
-            if param[0] == "greedy":
-                raise RuntimeError("injected baseline fault")
-            return real(param)
-
-        monkeypatch.setattr(pf, "_baseline_cell", faulty)
-        res = solve_portfolio(tasks, arch, MinimizeTRT("ring"),
-                              request=SolveRequest(processes=1))
-        by_method = {e.method: e for e in res.entries}
-        bad = by_method["greedy"]
-        assert not bad.feasible
-        assert "injected baseline fault" in bad.error
-        assert "Traceback" in bad.error
-        assert bad.seconds >= 0.0
-        # The portfolio still answers through the other contenders.
-        assert by_method["sat"].optimal
-        assert res.best is not None
-
-    def test_invariant_violation_raises_not_asserts(self, monkeypatch):
-        tasks, arch = feasible_system()
-        exact = Allocator(tasks, arch).minimize(MinimizeTRT("ring"))
-        assert exact.proven
-        import repro.core.portfolio as pf
-
-        monkeypatch.setattr(
-            pf, "_baseline_cell",
-            lambda param: (True, exact.cost - 1, 0.0),
-        )
-        with pytest.raises(PortfolioInvariantError, match="beat the proven"):
-            solve_portfolio(tasks, arch, MinimizeTRT("ring"),
-                            request=SolveRequest(processes=1))
-
-    def test_unproven_bound_may_be_beaten(self, monkeypatch):
-        # An anytime (unproven) exact bound is allowed to lose to a
-        # heuristic -- that is not an invariant violation.
-        tasks, arch = feasible_system()
-        import repro.core.portfolio as pf
-
-        monkeypatch.setattr(
-            pf, "_baseline_cell", lambda param: (True, 0, 0.0)
-        )
-        res = solve_portfolio(
-            tasks, arch, MinimizeTRT("ring"),
-            request=SolveRequest(
-                processes=1, budget=Budget(max_decisions=1)
-            ),
-        )
-        by_method = {e.method: e for e in res.entries}
-        assert not by_method["sat"].optimal
-        assert by_method["greedy"].cost == 0
-
     def test_supervised_portfolio_with_healthy_budget(self):
+        from tests.test_genetic_portfolio import heuristic_costs
+
         tasks, arch = feasible_system()
-        res = solve_portfolio(
-            tasks, arch, MinimizeTRT("ring"),
-            request=SolveRequest(
-                processes=1, budget=Budget(wall_seconds=60)
-            ),
-        )
-        by_method = {e.method: e for e in res.entries}
-        assert by_method["sat"].optimal
-        assert res.exact is not None and res.exact.proven
+        out = SolveSupervisor(
+            tasks, arch,
+            request=SolveRequest(objective=MinimizeTRT("ring"),
+                                 budget=Budget(wall_seconds=60)),
+        ).solve()
+        assert out.status == "optimal" and out.result.proven
         # No heuristic may beat the certified optimum.
-        assert res.best.cost >= res.exact.cost or res.best.method == "sat"
+        costs = heuristic_costs(tasks, arch, MinimizeTRT("ring"))
+        assert costs
+        assert all(c >= out.result.cost for c in costs.values()), costs
 
 
 class TestCliSupervision:
